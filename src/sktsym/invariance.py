@@ -101,22 +101,18 @@ class SKTSystem:
         return f"SKTSystem({shown})"
 
 
-def swap_field(Xf):
-    """Push a vector field through u <-> v."""
-    swap = {U: V, V: U}
-    sw = lambda e: ex.substitute(e, swap)
-    return VectorField.make(sw(Xf.xi0), sw(Xf.xi1), sw(Xf.eta2), sw(Xf.eta1),
-                            name=Xf.name)
+_RESTRICT_PASSES = 8
 
 
 def manifold_restrict(e, sys, raw=False):
     """Eliminate u_t, v_t via the evolution equations, then u_tx/v_tx via
     D_x of them, then u_tt/v_tt via D_t.  (u_txx introduced by the D_t route
-    is outside the elimination order and left alone.)"""
+    is outside the elimination order and left alone.)  Raises ExprError if no
+    pass leaves the expression unchanged within _RESTRICT_PASSES passes."""
     s = _sym(e)
     rhs = {1: sys.rhs_raw(1), 2: sys.rhs_raw(2)}
     first = {jet(1, 1, 0): rhs[1], jet(2, 1, 0): rhs[2]}
-    for _ in range(8):
+    for _ in range(_RESTRICT_PASSES):
         done = True
         if s.has(jet(1, 1, 0)) or s.has(jet(2, 1, 0)):
             s = s.xreplace(first)
@@ -132,6 +128,9 @@ def manifold_restrict(e, sys, raw=False):
                 done = False
         if done:
             break
+    else:
+        raise ex.ExprError(
+            f"manifold restriction reached no fixed point in {_RESTRICT_PASSES} passes")
     return s if raw else ex.normalize(s)
 
 
@@ -216,10 +215,47 @@ def proportional(e1, e2):
     return None
 
 
+def _param_field(syms):
+    syms = sorted(syms, key=sp.default_sort_key)
+    return sp.ZZ.frac_field(*syms) if syms else sp.QQ
+
+
+def _scale_free_key(e):
+    """Canonical form of a nonzero equation up to a nonzero factor that
+    depends only on the parameters: two equations get the same key exactly
+    when proportional() relates them.
+
+    The numerator of e is read as a polynomial in the opaque functions, their
+    derivatives and t, x, u, v, over the field of rational functions of the
+    remaining symbols, and made monic.  The field is then shrunk to the
+    symbols of the monic coefficients, so that the key does not depend on
+    symbols that only the scale factor carried.  Raises NotPolynomialError
+    if e is not of that form."""
+    num, den = sp.fraction(sp.together(_sym(e)))
+    variables = {T, X, U, V}
+    opaque = (sp.Derivative, sp.core.function.AppliedUndef)
+    if den.has(*variables) or den.atoms(*opaque):
+        raise ex.NotPolynomialError(f"denominator involves a generator: {den}")
+    gens = sorted(num.atoms(*opaque) | (num.free_symbols & variables),
+                  key=sp.default_sort_key)
+    try:
+        poly = sp.Poly(num, *gens, domain=_param_field(num.free_symbols - variables))
+        monic = poly.exclude().monic()
+        coeff_syms = set().union(*(c.free_symbols for c in monic.coeffs()))
+        monic = sp.Poly(monic.as_expr(), *monic.gens, domain=_param_field(coeff_syms))
+    except sp.polys.polyerrors.BasePolynomialError as exc:
+        raise ex.NotPolynomialError(f"not polynomial over the parameters: {exc}") from exc
+    return monic.gens, monic
+
+
 def generate_determining(sys=None, full_deps=True):
     """Split the invariance conditions of the generic operator over jet
     monomials.  The artifact derives, rather than assumes, the dependency
-    reductions xi0=xi0(t), xi1=xi1(t,x)."""
+    reductions xi0=xi0(t), xi1=xi1(t,x).
+
+    Equations are identified up to a nonzero factor that depends only on the
+    parameters: a split coefficient is kept when its _scale_free_key has not
+    been seen, so the first of each proportional class represents it."""
     if sys is None:
         sys = SKTSystem.generic()
     Xf = opaque_field(full_deps=full_deps)
@@ -231,9 +267,11 @@ def generate_determining(sys=None, full_deps=True):
         for mono, coeff in ex.collect_jet(r).items():
             if not coeff.is_zero:
                 raw_split[(k, mono)] = coeff
-    equations = []
+    equations, seen = [], set()
     for coeff in raw_split.values():
-        if not any(proportional(coeff, e) for e in equations):
+        key = _scale_free_key(coeff)
+        if key not in seen:
+            seen.add(key)
             equations.append(coeff)
     return DeterminingSystem(equations=tuple(equations), raw_split=raw_split,
                              field=Xf)
@@ -369,7 +407,9 @@ def golden_compare():
 
     The dependency relations (the first golden item) are extracted from the
     full-dependency split; the remaining 16 items are matched against the
-    restricted-dependency split up to a nonzero scalar multiple."""
+    restricted-dependency split up to a nonzero factor that depends only on
+    the parameters.  Each printed equation looks up the generated one with
+    the same _scale_free_key, and proportional() then gives the factor."""
     report = GoldenReport()
     printed = printed_determining_equations()
 
@@ -407,24 +447,19 @@ def golden_compare():
                 report.discrepancies.append(("(10)", str(target)))
 
     restricted = generate_determining(full_deps=False)
-    remaining = list(restricted.equations)
+    remaining = {_scale_free_key(eq): eq for eq in restricted.equations}
     for eq_id in range(11, 27):
         target = ex.normalize(printed[eq_id][0])
-        hit = None
-        for eq in remaining:
-            lam = proportional(eq, target)
-            if lam is not None:
-                hit = (eq, lam)
-                break
-        if hit is None:
+        eq = remaining.pop(_scale_free_key(target), None)
+        if eq is None:
             report.discrepancies.append((f"({eq_id})", str(target.sym)))
-        else:
-            remaining.remove(hit[0])
-            report.matches[eq_id] = hit[1]
-            if hit[1].is_Number and hit[1] < 0:
-                report.sign_notes.append(
-                    f"generated equation matches ({eq_id}) with overall sign {hit[1]}")
-    report.unmatched_generated = [str(e.sym) for e in remaining]
+            continue
+        lam = proportional(eq, target)
+        report.matches[eq_id] = lam
+        if lam.is_Number and lam < 0:
+            report.sign_notes.append(
+                f"generated equation matches ({eq_id}) with overall sign {lam}")
+    report.unmatched_generated = [str(e.sym) for e in remaining.values()]
     return report
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
@@ -67,6 +68,11 @@ class BCSpec:
             raise SimulatorError(f"unknown bc kind {self.kind!r}")
         if self.kind == EXACT_DIRICHLET and self.family is None:
             raise SimulatorError("exact-dirichlet bc needs a solution family")
+
+    @cached_property
+    def fields(self):
+        """The exact family compiled once: (u(t, x), v(t, x)) callables."""
+        return field_functions(self.family, self.bindings)
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ def _ghost(arr, grid, bc, t, which, width=1):
         g[:width] = arr[-width:]
         g[-width:] = arr[:width]
     else:
-        eval_u, eval_v = field_functions(bc.family, bc.bindings)
+        eval_u, eval_v = bc.fields
         fn = eval_u if which == "u" else eval_v
         xs_l = grid.x0 - (np.arange(width, 0, -1) - 0.5) * grid.h
         xs_r = grid.x1 + (np.arange(1, width + 1) - 0.5) * grid.h

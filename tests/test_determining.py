@@ -1,18 +1,59 @@
+import pytest
 import sympy as sp
 
 from sktsym import expr as ex
 from sktsym import invariance as inv
+from sktsym.expr import T, U, V, X
+
+
+@pytest.fixture(scope="module")
+def generic_restricted():
+    return inv.generate_determining(inv.SKTSystem.generic(), full_deps=False)
+
+
+class TestScaleFreeKey:
+    # printed equation (22): opaque derivatives with parameter and u, v
+    # dependent coefficients
+    EQ = ex.normalize(inv.printed_determining_equations()[22][0])
+
+    def key(self, factor):
+        return inv._scale_free_key(ex.normalize(factor * self.EQ.sym))
+
+    def test_equal_under_parameter_only_factors(self):
+        d1, d2, d12 = (ex.parameter(k) for k in ("d1", "d2", "d12"))
+        base = inv._scale_free_key(self.EQ)
+        for factor in (-1, 2, d12, 1 / (d1 - d2)):
+            assert self.key(factor) == base
+            assert hash(self.key(factor)) == hash(base)
+
+    def test_differs_under_variable_or_opaque_factors(self):
+        base = inv._scale_free_key(self.EQ)
+        eta1 = sp.Function("eta1")(T, X, U, V)
+        for factor in (U, T, eta1):
+            assert self.key(factor) != base
+
+    def test_non_polynomial_input_raises(self):
+        eta1 = sp.Function("eta1")(T, X, U, V)
+        for bad in (sp.exp(U) * eta1, eta1 / V, sp.sin(X) * sp.Derivative(eta1, U)):
+            with pytest.raises(ex.NotPolynomialError):
+                inv._scale_free_key(bad)
 
 
 class TestGenerateDetermining:
-    def test_restricted_dependency_count(self):
-        ds = inv.generate_determining(inv.SKTSystem.generic(), full_deps=False)
-        assert len(ds.equations) == 16
+    def test_restricted_dependency_count(self, generic_restricted):
+        assert len(generic_restricted.equations) == 16
 
-    def test_equations_only_involve_coefficient_functions(self):
-        ds = inv.generate_determining(inv.SKTSystem.generic(), full_deps=False)
+    def test_keyed_dedupe_equals_pairwise_scan(self, generic_restricted):
+        ds = generic_restricted
+        pairwise = []
+        for coeff in ds.raw_split.values():
+            if not any(inv.proportional(coeff, e) for e in pairwise):
+                pairwise.append(coeff)
+        assert [e.sym for e in ds.equations] == [e.sym for e in pairwise]
+
+    def test_equations_only_involve_coefficient_functions(self, generic_restricted):
         allowed = {"xi0", "xi1", "eta1", "eta2"}
-        for e in ds.equations:
+        for e in generic_restricted.equations:
             funcs = {f.func.__name__ for f in e.sym.atoms(sp.Function)
                      if isinstance(f, sp.core.function.AppliedUndef)}
             assert funcs <= allowed

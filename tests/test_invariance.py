@@ -49,6 +49,18 @@ class TestManifoldRestrict:
         uxx = ex.jet(1, 0, 2)
         assert inv.manifold_restrict(ex.normalize(uxx), s) == ex.normalize(uxx)
 
+    def test_second_time_derivative_reaches_fixed_point(self):
+        # u_tt -> D_t(rhs) brings back u_t and u_tx, which later passes remove
+        s = cross_system()
+        r = inv.manifold_restrict(ex.normalize(ex.jet(1, 2, 0)), s)
+        assert not r.has(ex.jet(1, 1, 0), ex.jet(2, 1, 0), ex.jet(1, 1, 1),
+                         ex.jet(2, 1, 1), ex.jet(1, 2, 0), ex.jet(2, 2, 0))
+
+    def test_no_fixed_point_raises(self, monkeypatch):
+        monkeypatch.setattr(inv, "_RESTRICT_PASSES", 1)
+        with pytest.raises(ex.ExprError, match="no fixed point"):
+            inv.manifold_restrict(ex.normalize(ex.jet(1, 2, 0)), cross_system())
+
 
 class TestCheckInvariance:
     def test_translations_always_invariant(self):

@@ -153,3 +153,18 @@ class TestConvergence:
                                     [32, 64], 0.05, bindings=self.BINDS,
                                     bc_kind=sim.EXACT_DIRICHLET)
         assert res.orders[0] == pytest.approx(2.0, abs=0.2)
+
+    def test_dirichlet_run_compiles_family_once(self, monkeypatch):
+        calls = []
+        compile_fields = sim.field_functions
+        monkeypatch.setattr(sim, "field_functions",
+                            lambda *a: calls.append(a) or compile_fields(*a))
+        trig = so.builtin_family("family-trig")
+        bc = sim.BCSpec(sim.EXACT_DIRICHLET, family=trig, bindings=self.BINDS)
+        g = sim.Grid1D(0.0, math.pi, 16)
+        eval_u, eval_v = bc.fields
+        init = (eval_u(0.0, g.centers()), eval_v(0.0, g.centers()))
+        traj = sim.run(so.target_system(so.PLUS), g, init, bc,
+                       sim.SolverConfig(t_end=0.01), bindings=self.BINDS)
+        assert traj.steps > 1
+        assert len(calls) == 1
