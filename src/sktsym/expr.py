@@ -10,8 +10,9 @@ reduced by the atom relations
     sin(A)**2  -> 1 - cos(A)**2
     exp(A)*exp(B) -> exp(A+B),   exp(-A) -> 1/exp(A)
 
-with sqrt/sin factors rationalized out of denominators.  sympy supplies the
-polynomial arithmetic underneath; this module owns the atom discipline,
+with sqrt/sin factors rationalized out of denominators.  Each cancellation
+is one polynomial gcd with cofactors.  sympy supplies the polynomial
+arithmetic underneath; this module owns the atom discipline,
 the grammar, and the numeric oracle.
 """
 
@@ -309,8 +310,40 @@ def _reduce_power(e, g, sq):
     return sp.expand(e.xreplace(subs))
 
 
+def _cancel(n, d, table, assumptions):
+    """n/d in lowest terms as a (numerator, denominator) pair, from one gcd
+    with cofactors.  A nonconstant gcd is recorded as a nonzero assumption
+    (monic over a field, as sp.gcd returns it); the pair is normalized as
+    sp.cancel normalizes it."""
+    R, (f, g) = sp.sring((n, d))
+    if not R.ngens:
+        return sp.fraction(sp.cancel(n / d))
+    dom = R.domain
+    if dom.is_Field and dom.has_assoc_Ring:
+        # cofactors over the ring, rescaled by the reduced denominators
+        ZR = R.clone(domain=dom.get_ring())
+        cq, f = f.clear_denoms()
+        cp, g = g.clear_denoms()
+        h, p, q = f.set_ring(ZR).cofactors(g.set_ring(ZR))
+        _, cp, cq = ZR.domain.cofactors(cp, cq)
+        h = h.set_ring(R).monic()
+        p = p.set_ring(R).mul_ground(cp)
+        q = q.set_ring(R).mul_ground(cq)
+    else:
+        h, p, q = f.cofactors(g)
+    if not h.is_ground:
+        assumptions.add(h.as_expr().xreplace(table.back))
+    u = q.canonical_unit()
+    if u != dom.one:
+        p, q = p.mul_ground(u), q.mul_ground(u)
+    return sp.fraction(p.as_expr() / q.as_expr())
+
+
 def _canon_core(e, assumptions):
-    """The full canonicalization pipeline on a raw sympy expression."""
+    """The full canonicalization pipeline on a raw sympy expression.  Each
+    cancellation is one gcd with cofactors (_cancel); the second runs only
+    when there are sqrt/sin generators, whose relations and conjugates can
+    reintroduce a common factor."""
     if e.is_Number:
         return e
 
@@ -323,11 +356,7 @@ def _canon_core(e, assumptions):
     table = _AtomTable()
     e = _replace_atoms(e, table, canon)
 
-    n0, d0 = sp.fraction(sp.together(e))
-    g0 = sp.gcd(n0, d0)
-    if not g0.is_Number:
-        assumptions.add(g0.xreplace(table.back))
-    n, d = sp.fraction(sp.cancel(n0 / d0))
+    n, d = _cancel(*sp.fraction(sp.together(e)), table, assumptions)
     n = _reduce_relations(n, table)
     d = _reduce_relations(d, table)
     if d == 0 or sp.expand(d) == 0:
@@ -351,11 +380,11 @@ def _canon_core(e, assumptions):
             d = _reduce_relations(sp.expand(d * conj), table)
             progress = True
 
-    if n != 0:
-        g = sp.gcd(n, d)
-        if not g.is_Number:
-            assumptions.add(g.xreplace(table.back))
-    n, d = sp.fraction(sp.cancel(n / d))
+    if n == 0:
+        return sp.Integer(0)
+    if lin_gens:
+        # the relations and the conjugates may have left a common factor
+        n, d = _cancel(n, d, table, assumptions)
     n, d = sp.expand(n), sp.expand(d)
     result = n / d if d != 1 else n
     return result.xreplace(table.back)
@@ -470,12 +499,6 @@ def iszero(e):
     n, _ = sp.fraction(sp.together(sym))
     n = _reduce_relations(n, table)
     return sp.expand(sp.cancel(n)) == 0
-
-
-def is_zero(e):
-    if isinstance(e, Expression):
-        return e.sym == 0
-    return normalize(e).sym == 0
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +658,6 @@ def substitute(e, bindings):
             assumptions = assumptions | val.assumptions
             val = val.sym
         sub[k] = sp.sympify(val)
-    for k, val in sub.items():
-        if val.has(k) and val != k:
-            continue  # self-reference like u -> u + 1 is fine; cycles are not
     return normalize(e.xreplace(sub) if all(s.is_Symbol for s in sub) else e.subs(sub, simultaneous=True),
                      assumptions)
 

@@ -263,10 +263,11 @@ def run(sys, grid, init, bc, config, bindings=None):
     return traj
 
 
-def exact_error(traj, sol, bindings, index=-1):
-    """Relative L2 error of a trajectory state against the exact family."""
+def exact_error(traj, sol, bindings, index=-1, fields=None):
+    """Relative L2 error of a trajectory state against the exact family.
+    `fields` is the family already compiled by field_functions, if at hand."""
     s = traj.states[index]
-    eval_u, eval_v = field_functions(sol, bindings)
+    eval_u, eval_v = fields or field_functions(sol, bindings)
     xs = traj.grid.centers()
     ue = eval_u(s.time, xs)
     ve = eval_v(s.time, xs)
@@ -289,20 +290,24 @@ def convergence_study(sys, sol, sizes, t_end, bindings=None, x0=0.0, x1=math.pi,
     """L2-error ladder against the exact family over a list of grid sizes."""
     errors = []
     bindings = bindings or {}
+    # the exact family is compiled once for the whole ladder
+    if bc_kind == EXACT_DIRICHLET:
+        bc = BCSpec(bc_kind, family=sol, bindings=bindings)
+        fields = bc.fields
+    else:
+        bc = BCSpec(bc_kind)
+        fields = field_functions(sol, bindings)
+    eval_u, eval_v = fields
+    config = SolverConfig(t_end=t_end, cfl_factor=cfl,
+                          first_order_stencil=first_order)
     for n in sizes:
         grid = Grid1D(x0, x1, n)
-        eval_u, eval_v = field_functions(sol, bindings)
         xs = grid.centers()
         init = (eval_u(0.0, xs), eval_v(0.0, xs))
-        bc = (BCSpec(ZERO_NEUMANN) if bc_kind == ZERO_NEUMANN else
-              BCSpec(bc_kind, family=sol, bindings=bindings)
-              if bc_kind == EXACT_DIRICHLET else BCSpec(bc_kind))
-        config = SolverConfig(t_end=t_end, cfl_factor=cfl,
-                              first_order_stencil=first_order)
         traj = run(sys, grid, init, bc, config, bindings=bindings)
         if traj.aborted:
             raise SimulatorError(f"solver aborted at n = {n}")
-        errors.append(exact_error(traj, sol, bindings))
+        errors.append(exact_error(traj, sol, bindings, fields=fields))
     orders = tuple(math.log2(errors[i] / errors[i + 1])
                    for i in range(len(errors) - 1))
     return ConvergenceResult(sizes=tuple(sizes), errors=tuple(errors),

@@ -2,6 +2,8 @@ import math
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sktsym import expr as ex
 from sktsym.expr import T, U, V, X
@@ -134,3 +136,66 @@ class TestCollectJet:
         keys = set(groups)
         assert ux ** 2 in keys and ux * vx in keys
         assert ex.normalize(groups[ux ** 2] - (U + 1)).is_zero
+
+
+def _gcd_then_cancel(n, d):
+    """The two-gcd cancellation that _cancel replaces."""
+    acc = set()
+    g = sp.gcd(n, d)
+    if not g.is_Number:
+        acc.add(g)
+    return sp.fraction(sp.cancel(n / d)), acc
+
+
+def _single_gcd(n, d):
+    acc = set()
+    return ex._cancel(n, d, ex._AtomTable(), acc), acc
+
+
+_A, _B = ex.parameter("a"), ex.parameter("b")
+_W = sp.Dummy("W")
+_GENS = (U, X, _A, _W)
+
+
+@st.composite
+def _polys(draw, max_terms=3):
+    terms = draw(st.lists(
+        st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                  st.tuples(*[st.integers(0, 2) for _ in _GENS])),
+        min_size=1, max_size=max_terms))
+    return sp.Add(*[sp.Rational(c.numerator, c.denominator)
+                    * sp.Mul(*[g ** k for g, k in zip(_GENS, ks)])
+                    for c, ks in terms])
+
+
+class TestCancel:
+    @pytest.mark.parametrize("n, d", [
+        ((U ** 2 - V ** 2) * 2, 4 * (U - V)),                 # ZZ
+        (U ** 2 - 1, U / 2 - sp.Rational(1, 2)),              # QQ
+        (sp.Rational(2, 3) * (X + 1) * U, (X + 1) / 5),       # QQ, both sides
+        ((_W + 1) * (_W - U), -3 * (_W + 1)),                 # Dummy generators
+        (_A * _B - _A, _A ** 2 * (_B - 1)),                   # parameters only
+        (sp.Integer(0), U + 1),                               # zero numerator
+        (sp.Integer(6), sp.Integer(4)),                       # constants only
+        (-(U + 1), -(U ** 2 - 1)),                            # negative leading term
+    ])
+    def test_matches_gcd_then_cancel(self, n, d):
+        assert _single_gcd(n, d) == _gcd_then_cancel(n, d)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_polys(), _polys(), _polys(max_terms=2))
+    def test_planted_common_factor(self, p, q, c):
+        assume(q != 0 and c != 0)
+        n, d = sp.expand(p * c), sp.expand(q * c)
+        assert _single_gcd(n, d) == _gcd_then_cancel(n, d)
+
+    def test_pythagorean_numerator_vanishes_without_assumptions(self):
+        s, c = sp.sin(X), sp.cos(X)
+        out = ex.normalize((s ** 2 + c ** 2 - 1) / s ** 2)
+        assert out.sym == 0
+        assert out.assumptions == frozenset()
+
+    def test_rational_coefficients_cancel_to_integer_form(self):
+        out = ex.normalize((X ** 2 - 1) / (X / 2 - sp.Rational(1, 2)))
+        assert out.sym == 2 * X + 2
+        assert out.assumptions == frozenset({X - 1})

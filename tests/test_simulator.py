@@ -168,3 +168,15 @@ class TestConvergence:
                        sim.SolverConfig(t_end=0.01), bindings=self.BINDS)
         assert traj.steps > 1
         assert len(calls) == 1
+
+    def test_dirichlet_ladder_compiles_family_once(self, monkeypatch):
+        calls = []
+        compile_fields = sim.field_functions
+        monkeypatch.setattr(sim, "field_functions",
+                            lambda *a: calls.append(a) or compile_fields(*a))
+        trig = so.builtin_family("family-trig")
+        res = sim.convergence_study(so.target_system(so.PLUS), trig,
+                                    [16, 32], 0.01, bindings=self.BINDS,
+                                    bc_kind=sim.EXACT_DIRICHLET)
+        assert len(res.errors) == 2
+        assert len(calls) == 1
