@@ -294,12 +294,3 @@ def substitution(sub_id):
     except KeyError:
         raise CatalogError(f"unknown substitution id {sub_id!r}")
 
-
-_DEFAULT = None
-
-
-def default_catalog():
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Catalog.load()
-    return _DEFAULT

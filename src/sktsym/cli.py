@@ -61,11 +61,8 @@ def _float_bindings(bindings):
 def _emit(lines, output):
     text = "\n".join(lines) + "\n"
     if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text)
-        except FileNotFoundError:
-            raise
+        with open(output, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -287,11 +284,8 @@ def _cmd_flux_check(args):
 
 def _cmd_simulate(args):
     cp = configparser.ConfigParser()
-    try:
-        with open(args.config) as fh:
-            cp.read_file(fh)
-    except FileNotFoundError:
-        raise
+    with open(args.config) as fh:
+        cp.read_file(fh)
     if "simulate" not in cp:
         raise UsageError("config file needs a [simulate] section")
     sec = cp["simulate"]
@@ -335,9 +329,6 @@ def _cmd_simulate(args):
 def _cmd_convergence(args):
     sol = _family(args)
     bindings = _float_bindings(_parse_bindings(args.bind))
-    if bindings:
-        # bound parameters stay in the exact fields; pass them through
-        pass
     sizes = [int(s) for s in args.sizes.split(",")]
     if len(sizes) < 2:
         raise UsageError("--sizes needs at least two grid sizes")

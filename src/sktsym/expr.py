@@ -10,9 +10,10 @@ reduced by the atom relations
     sin(A)**2  -> 1 - cos(A)**2
     exp(A)*exp(B) -> exp(A+B),   exp(-A) -> 1/exp(A)
 
-with sqrt/sin factors rationalized out of denominators.  Each cancellation
-is one polynomial gcd with cofactors.  sympy supplies the polynomial
-arithmetic underneath; this module owns the atom discipline,
+with sqrt/sin factors rationalized out of denominators.  Exponentials are
+merged (sympy's powsimp) only in the terms where a product can combine, and
+each cancellation is one polynomial gcd with cofactors.  sympy supplies the
+polynomial arithmetic underneath; this module owns the atom discipline,
 the grammar, and the numeric oracle.
 """
 
@@ -184,10 +185,6 @@ def _canon_sqrt(base, canon):
     return pre * s, r, sp.expand(prim)
 
 
-def _atom_key(a):
-    return (a.__class__.__name__, sp.srepr(a))
-
-
 class _AtomTable:
     """Maps transcendental/opaque atoms to generator symbols plus the
     rewrite relations binding them."""
@@ -339,11 +336,46 @@ def _cancel(n, d, table, assumptions):
     return sp.fraction(p.as_expr() / q.as_expr())
 
 
+def _can_merge(node):
+    """Whether powsimp(combine="exp") can rewrite this node itself: a product
+    of two exponentials (exp(A) and E both have base E), a product holding a
+    base b and -b, a product left unflattened (x*(t**2*u**2), which sympy
+    builds from x*sqrt(t*u)*sqrt(t*u)**3), a non-integer power of a product
+    (a*b*sqrt(a*b) -> (a*b)**(3/2)), or a number to a symbolic power.  A
+    power of an exponential needs no clause: sympy applies exp(A)**k ->
+    exp(k*A) when it builds the power, wherever powsimp would."""
+    if node.is_Mul:
+        bases = [f.as_base_exp()[0] for f in node.args]
+        if bases.count(sp.E) >= 2 or any(f.is_Mul for f in node.args):
+            return True
+        return any((b.is_Symbol or b.is_Add) and -b in bases for b in bases)
+    if node.is_Pow:
+        b, k = node.args
+        return (b.is_Mul and not k.is_Integer
+                or b.is_Rational and not k.is_Number)
+    return False
+
+
+def _merge_exp(e):
+    """sp.powsimp(e, combine="exp", deep=True), run only on the terms of e
+    where a product can combine; e itself when there is none.  powsimp maps
+    a sum termwise, so merging term by term gives the same expression."""
+    if e.is_Add:
+        terms = [_merge_exp(a) for a in e.args]
+        if all(t is a for t, a in zip(terms, e.args)):
+            return e
+        return sp.Add(*terms)
+    if any(_can_merge(node) for node in sp.preorder_traversal(e)):
+        return sp.powsimp(e, combine="exp", deep=True)
+    return e
+
+
 def _canon_core(e, assumptions):
-    """The full canonicalization pipeline on a raw sympy expression.  Each
-    cancellation is one gcd with cofactors (_cancel); the second runs only
-    when there are sqrt/sin generators, whose relations and conjugates can
-    reintroduce a common factor."""
+    """The full canonicalization pipeline on a raw sympy expression.
+    Exponentials are merged only in the terms where a product can combine
+    (_merge_exp).  Each cancellation is one gcd with cofactors (_cancel); the
+    second runs only when there are sqrt/sin generators, whose relations and
+    conjugates can reintroduce a common factor."""
     if e.is_Number:
         return e
 
@@ -352,7 +384,7 @@ def _canon_core(e, assumptions):
             return sub
         return _canon_core(sub, assumptions)
 
-    e = sp.powsimp(sp.expand(e), combine="exp", deep=True)
+    e = _merge_exp(sp.expand(e))
     table = _AtomTable()
     e = _replace_atoms(e, table, canon)
 
@@ -480,7 +512,8 @@ def iszero(e):
     radicands assumed nonzero) without building the full canonical form:
     atoms are replaced by generators, the expression is brought over a common
     denominator once, and only the numerator is reduced by the generator
-    relations.  Much cheaper than normalize() on large radical expressions;
+    relations; exponentials are merged only in the terms where a product
+    can combine.  Much cheaper than normalize() on large radical expressions;
     a False answer is decided by the same relation set, so callers may fall
     back to normalize() for a canonical witness."""
     sym = e.sym if isinstance(e, Expression) else sp.sympify(e)
@@ -493,7 +526,7 @@ def iszero(e):
             return sub
         return _canon_core(sub, acc)
 
-    sym = sp.powsimp(sym, combine="exp", deep=True)
+    sym = _merge_exp(sym)
     table = _AtomTable()
     sym = _replace_atoms(sym, table, canon)
     n, _ = sp.fraction(sp.together(sym))

@@ -352,30 +352,6 @@ def group_orbit(sol, p, lam1=None, lam2=None, generator="X1"):
     return out
 
 
-def sign_definite(sol, bindings, t_range=(0.1, 1.0), x_range=(0.1, 3.0),
-                  grid=100):
-    """Heuristic sign check of u - v on a rectangle by dense sampling.
-    Returns "positive", "negative" or "indefinite"."""
-    d = sol.u_expr - sol.v_expr
-    seen_pos = seen_neg = False
-    for i in range(grid):
-        for j in range(grid):
-            pt = dict(bindings)
-            pt[T] = t_range[0] + (t_range[1] - t_range[0]) * (i + 0.5) / grid
-            pt[X] = x_range[0] + (x_range[1] - x_range[0]) * (j + 0.5) / grid
-            try:
-                val = ex.eval_numeric(d, pt, guard=1e-9)
-            except ex.ExprError:
-                continue
-            seen_pos |= val > 0
-            seen_neg |= val < 0
-    if seen_pos and not seen_neg:
-        return "positive"
-    if seen_neg and not seen_pos:
-        return "negative"
-    return "indefinite"
-
-
 # ---------------------------------------------------------------------------
 # symmetry reduction
 
@@ -558,12 +534,6 @@ def to_logistic(sol, a, b, d1, d2):
                          u_expr=u_new, v_expr=v_new, branch=sol.branch,
                          constraints=cons)
     return fam, logistic_system(sol.system_id, a_, b_, d1_, d2_)
-
-
-def residual_against(sys, sol):
-    """residual() for families whose target system is supplied explicitly
-    (the logistic images carry non-catalog ids)."""
-    return residual(sys, sol)
 
 
 # ---------------------------------------------------------------------------

@@ -199,3 +199,87 @@ class TestCancel:
         out = ex.normalize((X ** 2 - 1) / (X / 2 - sp.Rational(1, 2)))
         assert out.sym == 2 * X + 2
         assert out.assumptions == frozenset({X - 1})
+
+
+def _powsimp(e):
+    return sp.powsimp(e, combine="exp", deep=True)
+
+
+_SYM_NAMES = ("t", "x", "u", "v", "a", "b")
+
+
+@st.composite
+def _lin_text(draw):
+    terms = [f"{draw(st.integers(-3, 3))}*{s}"
+             for s in draw(st.lists(st.sampled_from(_SYM_NAMES),
+                                    min_size=1, max_size=2))]
+    return "(" + " + ".join(terms + [str(draw(st.integers(-2, 2)))]) + ")"
+
+
+@st.composite
+def _factor_text(draw):
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return f"exp{draw(_lin_text())}"
+    if kind == 1:
+        return "exp(1)"
+    if kind == 2:
+        names = draw(st.lists(st.sampled_from(_SYM_NAMES + ("2", "3")),
+                              min_size=1, max_size=3))
+        return "sqrt(" + "*".join(names) + ")"
+    if kind == 3:
+        base = draw(st.sampled_from(("u - v", "v - u")))
+        return f"({base})^{draw(st.integers(-2, 2))}"
+    return draw(_lin_text()) + f"^{draw(st.integers(1, 2))}"
+
+
+@st.composite
+def _merge_text(draw):
+    products = [draw(st.sampled_from(("*", "/"))).join(
+                    draw(st.lists(_factor_text(), min_size=1, max_size=3)))
+                for _ in range(draw(st.integers(1, 3)))]
+    return " + ".join(products)
+
+
+class TestMergeExp:
+    @pytest.mark.parametrize("e", [
+        sp.exp(_A) * sp.exp(_B),                  # two exponentials
+        sp.E * sp.exp(_A) + U,                    # E is exp(1)
+        _A / ((U - V) * (V - U)),                 # a base and its negation
+        _A * _B * sp.sqrt(_A * _B),               # radical of a product
+        X * sp.sqrt(T * U) * sp.sqrt(T * U) ** 3,  # unflattened product
+        2 ** X / 4,                               # number to a symbolic power
+    ])
+    def test_rewrite_rule_matches_powsimp(self, e):
+        assert _powsimp(e) != e
+        assert ex._merge_exp(e) == _powsimp(e)
+
+    def test_only_the_merging_term_is_rewritten(self):
+        plain = U ** 2 * V + _A * sp.sqrt(U + 1)
+        e = plain + sp.exp(T) * sp.exp(X) * V
+        out = ex._merge_exp(e)
+        assert out == _powsimp(e) == plain + sp.exp(T + X) * V
+
+    def test_nothing_to_merge_returns_input(self):
+        e = (U ** 2 * ex.jet(1, 0, 1) + sp.exp(X) * sp.sqrt(U + V) / (U - V)
+             + U * sp.sqrt(sp.exp(X)))
+        assert ex._merge_exp(e) is e
+
+    def test_exp_free_normalize_never_calls_powsimp(self, monkeypatch):
+        calls = []
+        real = sp.powsimp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex.sp, "powsimp", counting)
+        ux, vxx = ex.jet(1, 0, 1), ex.jet(2, 0, 2)
+        ex.normalize((U + V) ** 2 * ux * vxx - _A * U / (U + V) + ux ** 3)
+        assert calls == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(_merge_text())
+    def test_equals_powsimp(self, text):
+        e = ex.parse_sym(text)
+        assert ex._merge_exp(e) == _powsimp(e)
