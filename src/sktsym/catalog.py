@@ -161,12 +161,13 @@ class Catalog:
                                            **mutate[key]})
             ops = []
             for name in entry.operators:
-                fld = self.operator(name)
                 if name == "R":
-                    fld, note = self._select_r(system)
+                    fld, note, verdict = self._select_r(system)
                     if note:
                         notes.append((key, note))
-                verdict = check_invariance(system, fld)
+                else:
+                    fld = self.operator(name)
+                    verdict = check_invariance(system, fld)
                 rows.append(ValidationRow(
                     table=entry.table, case_id=entry.case_id, operator=name,
                     invariant=verdict.invariant,
@@ -183,14 +184,18 @@ class Catalog:
 
     def _select_r(self, system):
         """Resolve the printed-vs-repaired encoding of the operator R by
-        machine check."""
+        machine check; returns (field, note, verdict of the field)."""
         repaired = self.operator("R")
         printed = self.operators.get("R_printed")
-        if check_invariance(system, repaired).invariant:
-            return repaired, "operator R: repaired encoding (second group on v-slot) selected"
-        if printed is not None and check_invariance(system, printed).invariant:
-            return printed, "operator R: printed encoding selected"
-        return repaired, None
+        verdict = check_invariance(system, repaired)
+        if verdict.invariant:
+            return (repaired, "operator R: repaired encoding (second group on v-slot) selected",
+                    verdict)
+        if printed is not None:
+            alt = check_invariance(system, printed)
+            if alt.invariant:
+                return printed, "operator R: printed encoding selected", alt
+        return repaired, None, verdict
 
     # -- substitutions ----------------------------------------------------
     def substitution(self, sub_id):

@@ -775,11 +775,8 @@ def pushforward(Xf, Tr, sys=None):
     det = sp.cancel(A * D - B * C)
     cx = sp.cancel(sp.diff(xm, X))
     tprime, rate = _time_map(tm)
-    comps = []
-    for target in (tm, xm, A * U + B * V + g, C * U + D * V + h):
-        val = (Xf.xi0.sym * sp.diff(target, T) + Xf.xi1.sym * sp.diff(target, X)
-               + Xf.eta1.sym * sp.diff(target, U) + Xf.eta2.sym * sp.diff(target, V))
-        comps.append(val)
+    comps = [Xf.apply(target, raw=True)
+             for target in (tm, xm, A * U + B * V + g, C * U + D * V + h)]
     # express in new coordinates
     Us, Vs = sp.Dummy("Us"), sp.Dummy("Vs")
     inv_u = sp.cancel((D * (Us - g) - B * (Vs - h)) / det)

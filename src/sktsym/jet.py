@@ -1,5 +1,6 @@
 """Vector fields on (t, x, u, v), total derivatives on second-order jet
-space, and the second prolongation of a point-symmetry generator."""
+space, and the second prolongation of a point-symmetry generator, whose
+coefficients are built and normalized only when an equation uses them."""
 
 from __future__ import annotations
 
@@ -60,12 +61,12 @@ class VectorField:
     def equals(self, other):
         return all((a - b).is_zero for a, b in zip(self.coeffs(), other.coeffs()))
 
-    def apply(self, e):
+    def apply(self, e, raw=False):
         """First-order action X(e) on an order-0 expression."""
         s = _as_sym(e)
         out = (self.xi0.sym * sp.diff(s, T) + self.xi1.sym * sp.diff(s, X)
                + self.eta1.sym * sp.diff(s, U) + self.eta2.sym * sp.diff(s, V))
-        return ex.normalize(out)
+        return out if raw else ex.normalize(out)
 
     def render(self):
         lines = [f"{k}={ex.render(c)}" for k, c in
@@ -90,112 +91,82 @@ class VectorField:
 
 
 def total_derivative(e, wrt, raw=False):
-    """Total derivative D_t or D_x through all jet variables of order <= 1
-    in the input (so the result stays within the order-2 jet space)."""
+    """Total derivative D_t or D_x of an expression with jet variables of
+    order <= 1 only (so the result stays within the order-2 jet space)."""
     s = _as_sym(e)
     if isinstance(wrt, str):
         wrt = {"t": T, "x": X}[wrt]
-    slot = 0 if wrt == T else 1
-    for dep in (1, 2):
-        for nt in range(3):
-            for nx in range(4):
-                if nt + nx >= 2 and s.has(jet(dep, nt, nx)):
-                    raise JetOrderError(
-                        f"input has order-2 jet {jet(dep, nt, nx)}; total derivative "
-                        "would leave the supported jet space")
-    out = sp.diff(s, wrt)
-    for dep in (1, 2):
-        for nt in range(2):
-            for nx in range(2):
-                j = jet(dep, nt, nx)
-                if s.has(j):
-                    nxt = jet(dep, nt + (slot == 0), nx + (slot == 1))
-                    out += nxt * sp.diff(s, j)
+    for j in ex.ALL_JET_SYMBOLS:
+        if sum(ex._jet_index(j)[1:]) >= 2 and s.has(j):
+            raise JetOrderError(
+                f"input has order-2 jet {j}; total derivative "
+                "would leave the supported jet space")
+    out = _total_raw(s, wrt)
     return out if raw else ex.normalize(out)
 
 
 def _total_raw(s, wrt):
-    """Unchecked total derivative on raw sympy (used by prolongation)."""
-    slot = 0 if wrt == T else 1
+    """Unchecked total derivative on raw sympy: the chain rule runs through
+    every jet variable of s, up to the internal order-3 x-jets."""
+    dt, dx = (1, 0) if wrt == T else (0, 1)
     out = sp.diff(s, wrt)
-    for dep in (1, 2):
-        for nt in range(_nmax := 3):
-            for nx in range(4):
-                j = jet(dep, nt, nx)
-                if s.has(j):
-                    try:
-                        nxt = jet(dep, nt + (slot == 0), nx + (slot == 1))
-                    except ex.ExprError as exc:
-                        raise JetOrderError(str(exc))
-                    out += nxt * sp.diff(s, j)
+    for j in ex.ALL_JET_SYMBOLS:
+        if s.has(j):
+            dep, nt, nx = ex._jet_index(j)
+            try:
+                nxt = jet(dep, nt + dt, nx + dx)
+            except ex.ExprError as exc:
+                raise JetOrderError(str(exc))
+            out += nxt * sp.diff(s, j)
     return out
 
 
-@dataclass(frozen=True)
 class ProlongedField:
-    """Second prolongation: base field plus first/second-order coefficients."""
+    """Second prolongation of a vector field, built on demand.
 
-    base: VectorField
-    rho1_t: Expression
-    rho2_t: Expression
-    rho1_x: Expression
-    rho2_x: Expression
-    sigma1_tt: Expression
-    sigma2_tt: Expression
-    sigma1_tx: Expression
-    sigma2_tx: Expression
-    sigma1_xx: Expression
-    sigma2_xx: Expression
+    coeff(dep, nt, nx) is the coefficient of d/du^dep_{t^nt x^nx} for
+    1 <= nt + nx <= 2, from the standard recursion over multi-indices J
+        phi_{J+var} = D_var(phi_J) - u_{J+t} D_var(xi0) - u_{J+x} D_var(xi1),
+    phi_0 = eta.  A coefficient is built and normalized the first time it is
+    asked for, so a check on an equation without u_tt or u_tx never builds
+    those.  Raw and normalized coefficients are memoized on the instance."""
+
+    def __init__(self, base):
+        self.base = base
+        self._raw = {(1, 0, 0): base.eta1.sym, (2, 0, 0): base.eta2.sym}
+        self._coeffs = {}
 
     def coeff(self, dep, nt, nx):
-        table = {
-            (1, 1, 0): self.rho1_t, (2, 1, 0): self.rho2_t,
-            (1, 0, 1): self.rho1_x, (2, 0, 1): self.rho2_x,
-            (1, 2, 0): self.sigma1_tt, (2, 2, 0): self.sigma2_tt,
-            (1, 1, 1): self.sigma1_tx, (2, 1, 1): self.sigma2_tx,
-            (1, 0, 2): self.sigma1_xx, (2, 0, 2): self.sigma2_xx,
-        }
-        return table[(dep, nt, nx)]
+        key = (dep, nt, nx)
+        if key not in self._coeffs:
+            if dep not in (1, 2) or nt < 0 or nx < 0 or not 1 <= nt + nx <= 2:
+                raise KeyError(key)
+            self._coeffs[key] = ex.normalize(self._raw_coeff(dep, nt, nx))
+        return self._coeffs[key]
+
+    def _raw_coeff(self, dep, nt, nx):
+        key = (dep, nt, nx)
+        if key not in self._raw:
+            # phi_tt = D_t(phi_t), phi_tx = D_x(phi_t), phi_xx = D_x(phi_x)
+            var, pt, px = (X, nt, nx - 1) if nx else (T, nt - 1, nx)
+            xi0, xi1 = self.base.xi0.sym, self.base.xi1.sym
+            self._raw[key] = (_total_raw(self._raw_coeff(dep, pt, px), var)
+                              - jet(dep, pt + 1, px) * _total_raw(xi0, var)
+                              - jet(dep, pt, px + 1) * _total_raw(xi1, var))
+        return self._raw[key]
 
 
 def prolong2(field):
-    """Second prolongation via the standard recursion
-    rho^k_mu = D_mu(eta^k) - u^k_t D_mu(xi0) - u^k_x D_mu(xi1),
-    sigma^k_{mu,nu} = D_nu(rho^k_mu) - u^k_{t mu} D_nu(xi0) - u^k_{x mu} D_nu(xi1).
-    """
-    xi0, xi1 = field.xi0.sym, field.xi1.sym
-    out = {}
-    for dep, eta in ((1, field.eta1.sym), (2, field.eta2.sym)):
-        rho = {}
-        for mu, var in (("t", T), ("x", X)):
-            rho[mu] = (_total_raw(eta, var)
-                       - jet(dep, 1, 0) * _total_raw(xi0, var)
-                       - jet(dep, 0, 1) * _total_raw(xi1, var))
-        sigma = {}
-        for mu, nu, var in (("t", "t", T), ("t", "x", X), ("x", "x", X)):
-            ut_mu = jet(dep, 1 + (mu == "t"), (mu == "x"))
-            ux_mu = jet(dep, (mu == "t"), 1 + (mu == "x"))
-            sigma[mu + nu] = (_total_raw(rho[mu], var)
-                              - ut_mu * _total_raw(xi0, var)
-                              - ux_mu * _total_raw(xi1, var))
-        out[dep] = (rho, sigma)
-    norm = ex.normalize
-    return ProlongedField(
-        base=field,
-        rho1_t=norm(out[1][0]["t"]), rho2_t=norm(out[2][0]["t"]),
-        rho1_x=norm(out[1][0]["x"]), rho2_x=norm(out[2][0]["x"]),
-        sigma1_tt=norm(out[1][1]["tt"]), sigma2_tt=norm(out[2][1]["tt"]),
-        sigma1_tx=norm(out[1][1]["tx"]), sigma2_tx=norm(out[2][1]["tx"]),
-        sigma1_xx=norm(out[1][1]["xx"]), sigma2_xx=norm(out[2][1]["xx"]),
-    )
+    """Second prolongation of the field; coefficients are built lazily by
+    ProlongedField.coeff."""
+    return ProlongedField(field)
 
 
 def apply_prolonged(P, e, raw=False):
-    """Directional derivative of e along the prolonged field."""
+    """Directional derivative of e along the prolonged field.  Only the
+    coefficients of the jets that e contains are built."""
     s = _as_sym(e)
-    base = P.base
-    out = (base.xi0.sym * sp.diff(s, T) + base.xi1.sym * sp.diff(s, X)
-           + base.eta1.sym * sp.diff(s, U) + base.eta2.sym * sp.diff(s, V))
+    out = P.base.apply(s, raw=True)
     for dep in (1, 2):
         for nt, nx in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
             j = jet(dep, nt, nx)

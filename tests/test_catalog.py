@@ -88,3 +88,21 @@ class TestSubstitutions:
     def test_unknown_substitution_raises(self, catalog):
         with pytest.raises(cg.CatalogError):
             catalog.substitution("999:9")
+
+
+def test_operator_r_is_checked_once_per_row(catalog, monkeypatch):
+    calls = []
+
+    def counting_check(system, field):
+        calls.append(field.name)
+        return inv.check_invariance(system, field)
+
+    monkeypatch.setattr(cg, "check_invariance", counting_check)
+    keys = [k for k, e in catalog.entries.items() if "R" in e.operators]
+    assert keys
+    report = catalog.validate_all(keys=keys)
+    r_rows = [r for r in report.rows if r.operator == "R"]
+    assert len(r_rows) == len(keys) and all(r.invariant for r in r_rows)
+    # _select_r's check of the repaired encoding is the row's verdict
+    assert calls.count("R") == len(keys)
+    assert len(calls) == sum(len(catalog.entries[k].operators) for k in keys)
