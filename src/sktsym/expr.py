@@ -59,7 +59,6 @@ class ZeroDenominatorError(ExprError):
 # symbol registry
 
 T, X = sp.symbols("t x")
-BASE_VARS = (T, X)
 
 _JET_MAX_T = 2
 _JET_MAX_X = 3  # order-3 x-jets are internal (manifold consequences)
@@ -99,9 +98,6 @@ _PUBLIC_JET_NAMES = {
 }
 
 ALL_JET_SYMBOLS = tuple(_JET.values())
-FIRST_ORDER_JETS = tuple(_JET[(d, nt, nx)] for d in (1, 2)
-                         for nt in range(2) for nx in range(2)
-                         if 0 < nt + nx <= 1)
 
 _PARAMETER_NAMES = [
     "d1", "d2", "d11", "d12", "d21", "d22",

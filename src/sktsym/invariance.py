@@ -1,11 +1,15 @@
 """SKT system representation, manifold restriction, invariance verdicts,
-determining-equation generation, commutators and algebra closure."""
+determining-equation generation, commutators and algebra closure.
+
+One linear layer over the parameter field, _split_solve, gives the closure
+constants, the golden factors (proportional) and the forced zeros."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from . import expr as ex
 from .expr import Expression, T, U, V, X, jet
@@ -194,30 +198,94 @@ class DeterminingSystem:
         return len(self.equations)
 
 
-def _is_scalar(e_sym):
-    """True if e_sym involves no variables or opaque functions (parameters
-    only)."""
-    bad = (T, X, U, V)
-    if e_sym.has(*bad):
-        return False
-    return not (e_sym.atoms(sp.Derivative) or
-                e_sym.atoms(sp.core.function.AppliedUndef))
+# ---------------------------------------------------------------------------
+# linear algebra over the parameter field
+
+_VARIABLES = frozenset((T, X, U, V))
+_OPAQUE = (sp.Derivative, sp.core.function.AppliedUndef)
 
 
-def proportional(e1, e2):
-    """Nonzero scalar lambda with e1 = lambda * e2, or None."""
-    s1, s2 = _sym(e1), _sym(e2)
-    if s1 == 0 or s2 == 0:
-        return sp.Integer(1) if s1 == 0 and s2 == 0 else None
-    q = sp.cancel(sp.together(s1 / s2))
-    if _is_scalar(q):
-        return q
-    return None
+def _generators(exprs, kinds=_OPAQUE):
+    """t, x, u, v and the atoms of the given kinds (by default the opaque
+    functions and their derivatives) that occur in exprs, sorted."""
+    found = set()
+    for e in exprs:
+        found |= (e.free_symbols & _VARIABLES) | e.atoms(*kinds)
+    return sorted(found, key=sp.default_sort_key)
 
 
 def _param_field(syms):
     syms = sorted(syms, key=sp.default_sort_key)
     return sp.ZZ.frac_field(*syms) if syms else sp.QQ
+
+
+def _param_polys(nums, gens):
+    """nums as Polys in gens over one parameter field: the rational functions
+    of the symbols other than t, x, u, v and the generators.  Raises
+    NotPolynomialError if some num is not of that form."""
+    syms = set().union(*(n.free_symbols for n in nums)) - _VARIABLES - set(gens)
+    try:
+        return [sp.Poly(n, *gens, domain=_param_field(syms)) for n in nums]
+    except sp.polys.polyerrors.BasePolynomialError as exc:
+        raise ex.NotPolynomialError(f"not polynomial over the parameters: {exc}") from exc
+
+
+def _split_solve(eqs, unknowns, gens=None):
+    """Row-reduce equations that are linear in `unknowns` after splitting
+    the numerator of each over its monomials in `gens` (by default t, x, u,
+    v, the exp/sin/cos atoms and the opaque functions and derivatives).
+
+    Returns the RREF and the pivots of the matrix over the parameter field
+    with one row per (equation, monomial), one column per unknown and a last
+    column for the part free of the unknowns.  Raises NotPolynomialError if
+    a numerator is not polynomial in gens and the unknowns over that field,
+    or not linear in the unknowns."""
+    # denominators are free of the unknowns, so the numerator over any common
+    # denominator has the same solutions; as_numer_denom skips together's gcd
+    nums = [_sym(e).as_numer_denom()[0] for e in eqs]
+    if gens is None:
+        gens = _generators(nums, _OPAQUE + (sp.exp, sp.sin, sp.cos))
+    gens = [g for g in gens if g not in unknowns]
+    n = len(unknowns)
+    polys = _param_polys(nums, gens + list(unknowns))
+    rows = {}
+    for i, poly in enumerate(polys):
+        for monom, c in poly.as_dict(native=True).items():
+            linear = monom[len(gens):]
+            if sum(linear) > 1:
+                raise ex.NotPolynomialError(f"not linear in the unknowns: {nums[i]}")
+            col = linear.index(1) if any(linear) else n
+            rows.setdefault((i, monom[:len(gens)]), {})[col] = c
+    domain = polys[0].domain if polys else sp.QQ
+    return DomainMatrix(dict(enumerate(rows.values())), (len(rows), n + 1),
+                        domain).rref()
+
+
+def _linear_expand(target, basis):
+    """The coefficients c_k, free of the generators, with target = sum of
+    c_k * basis[k] slot by slot (target and each basis element are sequences
+    of expressions); None if there are none, "degenerate" if they are not
+    unique."""
+    cs = [sp.Dummy(f"c{k}") for k in range(len(basis))]
+    eqs = [_sym(t) - sum(c * _sym(b) for c, b in zip(cs, bs))
+           for t, *bs in zip(target, *basis)]
+    rref, pivots = _split_solve(eqs, cs)
+    n = len(cs)
+    if n in pivots:
+        return None
+    if len(pivots) < n:
+        return "degenerate"
+    return tuple(rref.domain.to_sympy(-rref[i, n].element) for i in range(n))
+
+
+def proportional(e1, e2):
+    """Nonzero scalar lambda with e1 = lambda * e2, or None: the expansion of
+    e1 in the basis (e2,)."""
+    s1, s2 = _sym(e1), _sym(e2)
+    if s1 == 0 or s2 == 0:
+        return sp.Integer(1) if s1 == 0 and s2 == 0 else None
+    lam = _linear_expand([s1], [[s2]])
+    return None if lam is None else lam[0]
 
 
 def _scale_free_key(e):
@@ -232,19 +300,12 @@ def _scale_free_key(e):
     symbols that only the scale factor carried.  Raises NotPolynomialError
     if e is not of that form."""
     num, den = sp.fraction(sp.together(_sym(e)))
-    variables = {T, X, U, V}
-    opaque = (sp.Derivative, sp.core.function.AppliedUndef)
-    if den.has(*variables) or den.atoms(*opaque):
+    if _generators([den]):
         raise ex.NotPolynomialError(f"denominator involves a generator: {den}")
-    gens = sorted(num.atoms(*opaque) | (num.free_symbols & variables),
-                  key=sp.default_sort_key)
-    try:
-        poly = sp.Poly(num, *gens, domain=_param_field(num.free_symbols - variables))
-        monic = poly.exclude().monic()
-        coeff_syms = set().union(*(c.free_symbols for c in monic.coeffs()))
-        monic = sp.Poly(monic.as_expr(), *monic.gens, domain=_param_field(coeff_syms))
-    except sp.polys.polyerrors.BasePolynomialError as exc:
-        raise ex.NotPolynomialError(f"not polynomial over the parameters: {exc}") from exc
+    (poly,) = _param_polys([num], _generators([num]))
+    monic = poly.exclude().monic()
+    coeff_syms = set().union(*(c.free_symbols for c in monic.coeffs()))
+    monic = sp.Poly(monic.as_expr(), *monic.gens, domain=_param_field(coeff_syms))
     return monic.gens, monic
 
 
@@ -363,53 +424,36 @@ class GoldenReport:
 
 def _forced_zero_derivatives(equations, zeroed, targets):
     """Which of `targets` are forced to vanish by the equations, after the
-    `zeroed` substitutions?  Treats every remaining opaque derivative of the
-    target functions as an unknown of a linear system over rational
-    functions."""
+    `zeroed` substitutions?  Every remaining opaque derivative of the target
+    functions is an unknown; the equations are split over monomials in
+    (u, v), and an unknown is forced to vanish when its pivot row has no
+    other nonzero entry."""
     funcs = {d.expr.func for d in list(zeroed) + list(targets)}
-    sub_eqs = []
-    unknowns = set(targets)
+    eqs, unknowns = [], set(targets)
     for eq in equations:
         s = _sym(eq).xreplace(zeroed)
-        if s == 0:
-            continue
         derivs = s.atoms(sp.Derivative)
         if not derivs or any(d.expr.func not in funcs for d in derivs):
             continue
         unknowns |= derivs
-        sub_eqs.append(s)
+        eqs.append(s)
     unknowns = sorted(unknowns, key=sp.default_sort_key)
-    dummies = {d: sp.Dummy(f"w{i}") for i, d in enumerate(unknowns)}
-    eqs = [e.xreplace(dummies) for e in sub_eqs]
-    # split over monomials in (u, v) so the solve is over the parameter field
-    split = []
-    for e in eqs:
-        try:
-            split.extend(sp.Poly(sp.expand(e), U, V).coeffs())
-        except sp.PolynomialError:
-            split.append(e)
-    split = [e for e in split if e != 0]
-    if not split:
-        return set()
-    sol = sp.linsolve(split, list(dummies.values()))
-    if not sol:
-        return set()
-    vec = list(sol)[0]
-    forced = set()
-    for d, val in zip(unknowns, vec):
-        if val == 0 and d in targets:
-            forced.add(d)
-    return forced
+    rref, pivots = _split_solve(eqs, unknowns, gens=(U, V))
+    rows = rref.to_dod()
+    return {unknowns[j] for i, j in enumerate(pivots)
+            if j < len(unknowns) and len(rows[i]) == 1 and unknowns[j] in targets}
 
 
 def golden_compare():
     """Compare the generated determining system with the printed one.
 
     The dependency relations (the first golden item) are extracted from the
-    full-dependency split; the remaining 16 items are matched against the
-    restricted-dependency split up to a nonzero factor that depends only on
-    the parameters.  Each printed equation looks up the generated one with
-    the same _scale_free_key, and proportional() then gives the factor."""
+    full-dependency split; those not matched directly are the forced zeros
+    of the linear layer (_forced_zero_derivatives).  The remaining 16 items
+    are matched against the restricted-dependency split up to a nonzero
+    factor that depends only on the parameters: each printed equation looks
+    up the generated one with the same _scale_free_key, and proportional()
+    solves for the factor through the same layer."""
     report = GoldenReport()
     printed = printed_determining_equations()
 
@@ -467,8 +511,9 @@ def golden_compare():
 # algebra structure
 
 def commutator(Xf, Yf):
-    """[X, Y], componentwise X(Y_i) - Y(X_i) on (xi0, xi1, eta1, eta2)."""
-    coeffs = [Xf.apply(yc) - Yf.apply(xc)
+    """[X, Y], componentwise X(Y_i) - Y(X_i) on (xi0, xi1, eta1, eta2), with
+    one normalize per slot."""
+    coeffs = [ex.normalize(Xf.apply(yc, raw=True) - Yf.apply(xc, raw=True))
               for xc, yc in zip(Xf.coeffs(), Yf.coeffs())]
     name = None
     if Xf.name and Yf.name:
@@ -487,44 +532,11 @@ class ClosureReport:
         return self.closes
 
 
-def _linear_expand(target, basis):
-    """Write each coefficient of `target` as sum c_k * basis_k coefficient;
-    returns the c_k (t,x,u,v-independent) or None."""
-    cs = [sp.Dummy(f"c{k}") for k in range(len(basis))]
-    eqs = []
-    for slot in range(4):
-        resid = _sym(target.coeffs()[slot])
-        for c, b in zip(cs, basis):
-            resid -= c * _sym(b.coeffs()[slot])
-        n, _ = sp.fraction(sp.cancel(sp.together(resid)))
-        n = sp.expand(n)
-        gens = set()
-        for s in (T, X, U, V):
-            if n.has(s):
-                gens.add(s)
-        gens |= n.atoms(sp.exp) | n.atoms(sp.sin) | n.atoms(sp.cos)
-        if gens:
-            try:
-                poly = sp.Poly(n, *sorted(gens, key=sp.default_sort_key))
-                eqs.extend(poly.coeffs())
-            except sp.PolynomialError:
-                eqs.append(n)
-        else:
-            eqs.append(n)
-    eqs = [e for e in eqs if e != 0]
-    if not eqs:
-        return "degenerate"
-    sol = sp.linsolve(eqs, cs)
-    if not sol:
-        return None
-    vec = list(sol)[0]
-    if any(val.free_symbols & set(cs) for val in vec):
-        return "degenerate"
-    return tuple(sp.cancel(val) for val in vec)
-
-
 def closure_check(ops):
-    """Check that the span of `ops` closes under the commutator."""
+    """Check that the span of `ops` closes under the commutator.  The
+    structure constants expand each commutator in `ops` through the linear
+    layer (_linear_expand); a commutator it cannot split raises
+    NotPolynomialError."""
     if not ops:
         raise ValueError("operator list is empty")
     constants, failures, degenerate = {}, [], []
@@ -536,7 +548,7 @@ def closure_check(ops):
             if C.is_zero():
                 constants[(i, j)] = tuple(sp.Integer(0) for _ in ops)
                 continue
-            res = _linear_expand(C, ops)
+            res = _linear_expand(C.coeffs(), [op.coeffs() for op in ops])
             if res is None:
                 failures.append((i, j, C))
             elif res == "degenerate":
@@ -566,10 +578,6 @@ class PointTransformation:
         conv = lambda e: e if isinstance(e, Expression) else (
             ex.parse(e) if isinstance(e, str) else ex.normalize(e))
         return cls(conv(t_map), conv(x_map), conv(u_map), conv(v_map), name=name)
-
-    def is_identity(self):
-        return (self.t_map.sym == T and self.x_map.sym == X
-                and self.u_map.sym == U and self.v_map.sym == V)
 
 
 class TransformError(ex.ExprError):
@@ -636,9 +644,6 @@ def _rewrite_exp_t(s, rate, tm):
             raise TransformError(f"exponential {E} incommensurate with the time map")
         repl[E] = (T / alpha00) ** k        # T now stands for t*
     return s.xreplace(repl)
-
-
-_NEW_JETS = {(1, 0, 0): U, (2, 0, 0): V}
 
 
 def transform_system(sys, Tr):

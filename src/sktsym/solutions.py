@@ -107,13 +107,6 @@ class SolutionFamily:
             constraints=tuple(Constraint(c.kind, ex.substitute(c.expr, bindings))
                               for c in self.constraints))
 
-    def free_parameters(self):
-        syms = set()
-        for e in (self.u_expr, self.v_expr):
-            syms |= e.sym.free_symbols
-        return tuple(sorted((s for s in syms if s not in (T, X)),
-                            key=sp.default_sort_key))
-
     def system(self):
         return target_system(self.system_id)
 

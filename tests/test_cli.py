@@ -85,6 +85,19 @@ class TestCheckAndCommutators:
         assert "closes: yes" in out
         assert "[P_t, Q1]" in out
 
+    def test_commutator_outside_the_span_exits_one(self, capsys, tmp_path):
+        # [P_x, sqrt(x)*P_x] = P_x/(2*sqrt(x)) is not in the span
+        cfg = tmp_path / "sqrt.cfg"
+        cfg.write_text(
+            "[operator P_x]\nxi1 = 1\n\n[operator S]\nxi1 = sqrt(x)\n\n"
+            "[entry]\ntable = 1\ncase = 1\nd12 = 1\nd21 = 1\n"
+            "operators = P_x, S\n")
+        code, out, err = run(capsys, "commutators", "--catalog", str(cfg),
+                             "--table", "1", "--case", "1")
+        assert code == 1
+        assert "closes: yes" not in out
+        assert "not polynomial" in err
+
 
 class TestVerifySolution:
     def test_builtin_family_passes(self, capsys):

@@ -108,6 +108,14 @@ class TestClosure:
         rep = inv.closure_check(ops)
         assert not rep.closes
 
+    def test_commutator_outside_the_polynomial_span_raises(self):
+        # [P_x, sqrt(x)*P_x] = P_x/(2*sqrt(x)) is not in the span; it must not
+        # pass as a degenerate pair of a closing algebra
+        ops = [VectorField.make("0", "1", "0", "0"),
+               VectorField.make("0", "sqrt(x)", "0", "0")]
+        with pytest.raises(ex.NotPolynomialError):
+            inv.closure_check(ops)
+
 
 class TestPointTransformation:
     def test_identity_preserves_system(self):
