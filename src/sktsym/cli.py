@@ -337,7 +337,7 @@ def _cmd_convergence(args):
         res = sim.convergence_study(system, sol, sizes, args.t_end,
                                     bindings=bindings,
                                     first_order=args.first_order)
-    except sim.SimulatorError as exc:
+    except (sim.SimulatorError, ex.GuardViolation) as exc:
         raise UsageError(str(exc))
     expected = 1.0 if args.first_order else 2.0
     ok = all(abs(o - expected) <= 0.2 for o in res.orders)

@@ -14,15 +14,17 @@ with sqrt/sin factors rationalized out of denominators.  Exponentials are
 merged (sympy's powsimp) only in the terms where a product can combine, and
 each cancellation is one polynomial gcd with cofactors.  sympy supplies the
 polynomial arithmetic underneath; this module owns the atom discipline,
-the grammar, and the numeric oracle.
+the grammar, the one zero test (iszero) and the one numeric evaluator
+(eval_numeric), which the sample checks and the simulator share.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
@@ -183,29 +185,30 @@ def _canon_sqrt(base, canon):
 
 class _AtomTable:
     """Maps transcendental/opaque atoms to generator symbols plus the
-    rewrite relations binding them."""
+    rewrite relations binding them.  `generators` (atom expr -> Dummy) may be
+    shared between tables so that an atom gets the same generator in each."""
 
-    def __init__(self):
-        self.fwd = {}          # atom expr (in generator space) -> Dummy
-        self.back = {}         # Dummy -> original atom expr
+    def __init__(self, generators=None):
+        # atom expr (in generator space) -> Dummy
+        self.generators = {} if generators is None else generators
+        self.back = {}         # Dummy -> original atom expr, for this table's atoms
         self.sqrt_rad = {}     # sqrt Dummy -> radicand (generator space)
         self.sin_pair = {}     # sin Dummy -> cos Dummy
-        self._count = 0
 
     def gen(self, atom_expr, original):
-        if atom_expr in self.fwd:
-            return self.fwd[atom_expr]
-        d = sp.Dummy(f"A{self._count}")
-        self._count += 1
-        self.fwd[atom_expr] = d
-        self.back[d] = original
+        d = self.generators.get(atom_expr)
+        if d is None:
+            d = self.generators[atom_expr] = sp.Dummy(f"A{len(self.back)}")
+        self.back.setdefault(d, original)
         return d
 
 
 def _replace_atoms(e, table, canon):
     """Bottom-up replacement of atoms by generator symbols, canonicalizing
-    arguments along the way."""
+    arguments along the way.  A subtree that recurs (the same exponential in
+    many terms) is replaced once."""
 
+    @functools.cache
     def rec(node):
         if node is sp.E:
             # written-out Euler constants must share the exp(1) generator
@@ -264,7 +267,10 @@ def _replace_atoms(e, table, canon):
         if isinstance(node, (AppliedUndef, sp.Derivative)):
             return table.gen(node, node)
         if node.is_Pow or node.is_Add or node.is_Mul:
-            return node.func(*[rec(a) for a in node.args])
+            args = [rec(a) for a in node.args]
+            if all(new is old for new, old in zip(args, node.args)):
+                return node
+            return node.func(*args)
         if isinstance(node, sp.Function):
             raise ExprError(f"unsupported function head: {node.func}")
         return node
@@ -471,8 +477,7 @@ class Expression:
             other = other.sym
         elif not isinstance(other, (sp.Basic, int, Fraction)):
             return NotImplemented
-        return sp.expand(self.sym - sp.sympify(other)) == 0 or \
-            normalize(self.sym - sp.sympify(other)).sym == 0
+        return iszero(self.sym - sp.sympify(other))
 
     def __hash__(self):
         return hash(self.sym)
@@ -483,6 +488,8 @@ class Expression:
     # -- queries ----------------------------------------------------------
     @property
     def is_zero(self):
+        """O(1) query on a canonical (normalized) form; use iszero to
+        decide whether any other expression vanishes."""
         return self.sym == 0
 
     def free_symbols(self):
@@ -503,31 +510,39 @@ def normalize(e, assumptions=frozenset()):
     return Expression(out, frozenset(assumptions) | frozenset(acc))
 
 
-def iszero(e):
-    """Decide whether e vanishes identically on its domain (denominators,
-    radicands assumed nonzero) without building the full canonical form:
-    atoms are replaced by generators, the expression is brought over a common
-    denominator once, and only the numerator is reduced by the generator
-    relations; exponentials are merged only in the terms where a product
-    can combine.  Much cheaper than normalize() on large radical expressions;
-    a False answer is decided by the same relation set, so callers may fall
-    back to normalize() for a canonical witness."""
+# iszero's atom -> generator map, kept across calls so that sympy's cache
+# serves the expansions that repeat between checks.  normalize() draws fresh
+# generators: it maps its nested results back through its own table.
+_ISZERO_GENERATORS = {}
+
+
+def iszero(e, assumptions=None):
+    """The zero test: whether e vanishes identically on its domain
+    (denominators and radicands assumed nonzero).  No canonical form is
+    built: atoms become generators, the expression is brought over one
+    common denominator, and only the numerator is reduced by the relations
+    that normalize() uses.  `assumptions` is an output set, as in
+    _canon_core: when e vanishes, its common denominator is added to it
+    unless that is a number.  The verdict does not depend on it."""
     sym = e.sym if isinstance(e, Expression) else sp.sympify(e)
     if sym == 0:
         return True
-    acc = set()
 
     def canon(sub):
         if sub.is_Number or sub.is_Symbol:
             return sub
-        return _canon_core(sub, acc)
+        return _canon_core(sub, set())
 
     sym = _merge_exp(sym)
-    table = _AtomTable()
+    table = _AtomTable(_ISZERO_GENERATORS)
     sym = _replace_atoms(sym, table, canon)
-    n, _ = sp.fraction(sp.together(sym))
+    n, d = sp.fraction(sp.together(sym))
     n = _reduce_relations(n, table)
-    return sp.expand(sp.cancel(n)) == 0
+    if sp.expand(sp.cancel(n)) != 0:
+        return False
+    if assumptions is not None and not d.is_Number:
+        assumptions.add(d.xreplace(table.back))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -741,20 +756,25 @@ def _jet_index(s):
 
 
 # ---------------------------------------------------------------------------
-# numeric oracle
+# numeric evaluation
+
+_NUMERIC_HEADS = {sp.exp: np.exp, sp.sin: np.sin, sp.cos: np.cos}
+
 
 def eval_numeric(e, bindings, guard=1e-12):
-    """Double-precision evaluation with guards on denominators and sqrt
-    radicands.  All free symbols must be bound."""
+    """The numeric evaluator: double precision, with guards on denominators
+    and sqrt radicands.  Every free symbol must be bound (by symbol or
+    name).  Array values broadcast and a guard trips on any element; scalar
+    bindings give a float."""
     sym = e.sym if isinstance(e, Expression) else sp.sympify(e)
     env = {}
     for k, val in bindings.items():
         if isinstance(k, str):
             k = known_symbols()[k]
-        env[k] = float(val)
+        env[k] = val if isinstance(val, np.ndarray) else float(val)
 
     def ev(node):
-        if node.is_Number:
+        if node.is_Number or node.is_NumberSymbol:
             return float(node)
         if node.is_Symbol:
             try:
@@ -762,7 +782,7 @@ def eval_numeric(e, bindings, guard=1e-12):
             except KeyError:
                 raise UnboundSymbolError(f"unbound symbol {node}")
         if node.is_Add:
-            return math.fsum(ev(a) for a in node.args)
+            return sum(ev(a) for a in node.args)
         if node.is_Mul:
             out = 1.0
             for a in node.args:
@@ -773,20 +793,17 @@ def eval_numeric(e, bindings, guard=1e-12):
             expo = node.exp
             if expo.is_Integer:
                 k = int(expo)
-                if k < 0 and abs(base) < guard:
+                if k < 0 and np.min(np.abs(base)) < guard:
                     raise GuardViolation("denominator below guard", node.base)
                 return base ** k
             if expo.is_Rational and expo.q == 2:
-                if base < guard:
+                if np.min(base) < guard:
                     raise GuardViolation("sqrt radicand below guard", node.base)
                 return base ** float(expo)
             return base ** ev(expo)
-        if isinstance(node, sp.exp):
-            return math.exp(ev(node.args[0]))
-        if isinstance(node, sp.sin):
-            return math.sin(ev(node.args[0]))
-        if isinstance(node, sp.cos):
-            return math.cos(ev(node.args[0]))
+        if node.func in _NUMERIC_HEADS:
+            return _NUMERIC_HEADS[node.func](ev(node.args[0]))
         raise UnboundSymbolError(f"cannot evaluate {node}")
 
-    return ev(sym)
+    out = ev(sym)
+    return out if isinstance(out, np.ndarray) else float(out)

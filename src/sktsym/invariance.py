@@ -96,8 +96,7 @@ class SKTSystem:
                                  for k, v in self.params().items()})
 
     def equals(self, other):
-        return all((getattr(self, k) - getattr(other, k)).is_zero
-                   for k in _PARAM_KEYS)
+        return all(getattr(self, k) == getattr(other, k) for k in _PARAM_KEYS)
 
     def __repr__(self):
         shown = {k: str(v.sym) for k, v in self.params().items()
@@ -157,10 +156,7 @@ def check_invariance(sys, Xf):
     for k in (1, 2):
         Ek = apply_prolonged(P, sys.S_raw(k), raw=True)
         r = manifold_restrict(Ek, sys, raw=True)
-        n, d = sp.fraction(sp.together(r))
-        if sp.expand(n) == 0:
-            if not d.is_Number:
-                assumptions.add(d)
+        if ex.iszero(r, assumptions):
             continue
         for mono, coeff in ex.collect_jet(r).items():
             assumptions |= coeff.assumptions
@@ -299,7 +295,7 @@ def _scale_free_key(e):
     symbols of the monic coefficients, so that the key does not depend on
     symbols that only the scale factor carried.  Raises NotPolynomialError
     if e is not of that form."""
-    num, den = sp.fraction(sp.together(_sym(e)))
+    num, den = _sym(e).as_numer_denom()
     if _generators([den]):
         raise ex.NotPolynomialError(f"denominator involves a generator: {den}")
     (poly,) = _param_polys([num], _generators([num]))

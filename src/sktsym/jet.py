@@ -43,23 +43,8 @@ class VectorField:
     def coeffs(self):
         return (self.xi0, self.xi1, self.eta1, self.eta2)
 
-    def __add__(self, other):
-        return VectorField.make(*[a + b for a, b in zip(self.coeffs(), other.coeffs())])
-
-    def __sub__(self, other):
-        return VectorField.make(*[a - b for a, b in zip(self.coeffs(), other.coeffs())])
-
-    def __rmul__(self, scalar):
-        return VectorField.make(*[scalar * c for c in self.coeffs()])
-
-    def __neg__(self):
-        return (-1) * self
-
     def is_zero(self):
         return all(c.is_zero for c in self.coeffs())
-
-    def equals(self, other):
-        return all((a - b).is_zero for a, b in zip(self.coeffs(), other.coeffs()))
 
     def apply(self, e, raw=False):
         """First-order action X(e) on an order-0 expression."""

@@ -71,7 +71,7 @@ class BCSpec:
 
     @cached_property
     def fields(self):
-        """The exact family compiled once: (u(t, x), v(t, x)) callables."""
+        """The exact family built once: (u(t, x), v(t, x)) callables."""
         return field_functions(self.family, self.bindings)
 
 
@@ -108,25 +108,22 @@ def _numeric_params(sys, bindings=None):
 
 
 def field_functions(sol, bindings):
-    """Compile a solution family into vectorized callables u(t, x), v(t, x)."""
-    subs = {ex.parameter(k) if isinstance(k, str) else k: sp.Float(v)
-            for k, v in (bindings or {}).items()}
-    fns = []
+    """The exact family as callables u(t, x), v(t, x) over arrays of x,
+    evaluated by expr.eval_numeric with the parameters bound."""
+    params = {ex.parameter(k) if isinstance(k, str) else k: float(v)
+              for k, v in (bindings or {}).items()}
     for e in (sol.u_expr, sol.v_expr):
-        s = e.sym.xreplace(subs)
-        free = s.free_symbols - {T, X}
+        free = e.sym.free_symbols - {T, X} - set(params)
         if free:
             raise SimulatorError(f"unbound parameters in exact solution: {free}")
-        fns.append(sp.lambdify((T, X), s, modules="numpy"))
-    u_fn, v_fn = fns
 
-    def eval_u(t, x):
-        return np.broadcast_to(np.asarray(u_fn(t, x), dtype=float), np.shape(x)).copy()
+    def evaluator(e):
+        def evaluate(t, x):
+            val = ex.eval_numeric(e, {**params, T: t, X: np.asarray(x, dtype=float)})
+            return np.broadcast_to(val, np.shape(x)).copy()
+        return evaluate
 
-    def eval_v(t, x):
-        return np.broadcast_to(np.asarray(v_fn(t, x), dtype=float), np.shape(x)).copy()
-
-    return eval_u, eval_v
+    return evaluator(sol.u_expr), evaluator(sol.v_expr)
 
 
 def _ghost(arr, grid, bc, t, which, width=1):
@@ -265,7 +262,7 @@ def run(sys, grid, init, bc, config, bindings=None):
 
 def exact_error(traj, sol, bindings, index=-1, fields=None):
     """Relative L2 error of a trajectory state against the exact family.
-    `fields` is the family already compiled by field_functions, if at hand."""
+    `fields` is the family already built by field_functions, if at hand."""
     s = traj.states[index]
     eval_u, eval_v = fields or field_functions(sol, bindings)
     xs = traj.grid.centers()
@@ -290,7 +287,7 @@ def convergence_study(sys, sol, sizes, t_end, bindings=None, x0=0.0, x1=math.pi,
     """L2-error ladder against the exact family over a list of grid sizes."""
     errors = []
     bindings = bindings or {}
-    # the exact family is compiled once for the whole ladder
+    # the exact family is built once for the whole ladder
     if bc_kind == EXACT_DIRICHLET:
         bc = BCSpec(bc_kind, family=sol, bindings=bindings)
         fields = bc.fields

@@ -467,7 +467,7 @@ def check_reduction(ansatz, phi1, phi2):
     p2 = _as_expr(phi2).sym
     for o in ansatz.reduced:
         val = o.sym.subs({PHI1: p1, PHI2: p2}).doit()
-        if not ex.normalize(val).is_zero:
+        if not ex.iszero(val):
             return False
     return True
 

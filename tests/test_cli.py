@@ -190,3 +190,14 @@ class TestOtherSubcommands:
                            "--t-end", "0.05")
         assert code == 0
         assert "verdict: pass" in out
+
+    def test_convergence_negative_radicand_is_a_usage_error(self, capsys):
+        # p < 0 makes the radicand 1 - 2 cos(x) negative on part of [0, pi]:
+        # the exact family cannot give finite initial data there
+        code, _, err = run(capsys, "convergence", "--family", "3-7",
+                           "--bind", "alpha1=-1", "--bind", "alpha2=-3",
+                           "--bind", "p=-0.5", "--bind", "lambda1=1",
+                           "--bind", "lambda2=0")
+        assert code == 2
+        assert "sqrt radicand" in err
+        assert "alpha1**2 + 4*lambda1*p*cos(x)" in err

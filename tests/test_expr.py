@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import assume, given, settings
@@ -72,10 +73,48 @@ class TestNormalize:
         for s in samples:
             assert ex.iszero(s) == ex.normalize(s).is_zero
 
+    def test_iszero_records_the_denominator_it_assumed(self):
+        acc = set()
+        assert ex.iszero((U ** 2 - V ** 2) / (U - V) - (U + V), acc)
+        assert acc == {U - V}
+
+    def test_iszero_records_no_number_denominator(self):
+        acc = set()
+        assert ex.iszero((U + V) / 2 - U / 2 - V / 2, acc)
+        assert acc == set()
+
+    def test_iszero_records_nothing_for_a_nonzero(self):
+        acc = set()
+        assert not ex.iszero(1 / (U - V) - U, acc)
+        assert acc == set()
+
+    def test_iszero_record_does_not_depend_on_earlier_calls(self):
+        e = (sp.sin(T) ** 2 + sp.cos(T) ** 2 - 1) / (sp.exp(X) - U)
+        first = set()
+        assert ex.iszero(e, first)
+        for other in (sp.cos(T) * sp.exp(-X) - U, sp.exp(2 * X) / sp.sin(T)):
+            ex.iszero(other)
+        again = set()
+        assert ex.iszero(e, again)
+        assert first == again == {sp.exp(X) - U}
+
+    def test_iszero_verdict_does_not_depend_on_the_accumulator(self):
+        for s in (sp.sqrt(U ** 2 + 1) ** 2 / (U - V) - (U ** 2 + 1) / (U - V),
+                  sp.exp(X) / (sp.exp(X) + 1) - 1):
+            assert ex.iszero(s) == ex.iszero(s, set())
+
 
 class TestExpressionType:
     def test_equality_is_semantic(self):
         assert ex.parse("u*(u+1)") == ex.parse("u^2 + u")
+
+    def test_equality_decides_through_iszero(self, monkeypatch):
+        calls = []
+        normalize = ex.normalize
+        monkeypatch.setattr(ex, "normalize",
+                            lambda *a: calls.append(a) or normalize(*a))
+        assert ex.Expression(sp.sin(X) ** 2 + sp.cos(X) ** 2) == 1
+        assert calls == []
 
     def test_hashable_and_frozen(self):
         e = ex.parse("u + v")
@@ -120,6 +159,26 @@ class TestEvalNumeric:
         e = ex.normalize(sp.sqrt(U - 2))
         with pytest.raises(ex.GuardViolation):
             ex.eval_numeric(e, {U: 1.0})
+
+    def test_array_bindings_broadcast(self):
+        e = ex.normalize(sp.sqrt(X + 1) * sp.exp(T) / (X + 2))
+        xs = np.array([0.0, 0.5, 2.0])
+        vals = ex.eval_numeric(e, {"x": xs, "t": 0.25})
+        assert isinstance(vals, np.ndarray) and vals.shape == (3,)
+        for x, val in zip(xs, vals):
+            assert val == ex.eval_numeric(e, {"x": float(x), "t": 0.25})
+
+    def test_scalar_bindings_give_a_float(self):
+        # the canonical form of exp(x + 1) is E*exp(x)
+        val = ex.eval_numeric(ex.parse("cos(x) + exp(x + 1)"), {X: 0.0})
+        assert type(val) is float and val == pytest.approx(1 + math.e)
+
+    def test_guard_trips_on_any_array_element(self):
+        e = ex.normalize(sp.sqrt(X - 1))
+        with pytest.raises(ex.GuardViolation):
+            ex.eval_numeric(e, {X: np.array([3.0, 2.0, 0.5])})
+        with pytest.raises(ex.GuardViolation):
+            ex.eval_numeric(ex.parse("1/(x - 1)"), {X: np.array([0.0, 1.0])})
 
     def test_transcendental_eval(self):
         e = ex.normalize(sp.sin(X) * sp.exp(T))

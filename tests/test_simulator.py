@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sktsym import expr as ex
 from sktsym import simulator as sim
 from sktsym import solutions as so
 from sktsym.invariance import SKTSystem
@@ -180,3 +181,30 @@ class TestConvergence:
                                     bc_kind=sim.EXACT_DIRICHLET)
         assert len(res.errors) == 2
         assert len(calls) == 1
+
+
+class TestFieldFunctions:
+    BINDS = TestConvergence.BINDS
+
+    def test_fields_equal_eval_numeric_pointwise(self):
+        trig = so.builtin_family("family-trig")
+        eval_u, eval_v = sim.field_functions(trig, self.BINDS)
+        xs = np.linspace(0.05, 3.1, 17)
+        for t in (0.0, 0.3):
+            for fn, e in ((eval_u, trig.u_expr), (eval_v, trig.v_expr)):
+                want = [ex.eval_numeric(e, {**self.BINDS, "t": t, "x": x})
+                        for x in xs]
+                assert np.array_equal(fn(t, xs), want)
+
+    def test_constant_family_broadcasts_over_x(self):
+        seed = so.builtin_family("seed-ode")
+        eval_u, _ = sim.field_functions(seed, {"alpha1": 1.0, "alpha2": 2.0})
+        assert eval_u(0.1, np.zeros(5)).shape == (5,)
+
+    def test_negative_radicand_raises(self):
+        # p < 0: alpha1^2 + 4 p lambda1 cos(x) = 1 - 2 cos(x) < 0 near x = 0
+        trig = so.builtin_family("family-trig")
+        binds = {**self.BINDS, "p": -0.5, "lambda2": 0.0}
+        eval_u, _ = sim.field_functions(trig, binds)
+        with pytest.raises(ex.GuardViolation):
+            eval_u(0.0, sim.Grid1D(0.0, math.pi, 16).centers())
