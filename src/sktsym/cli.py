@@ -2,6 +2,9 @@
 generation, invariance and commutator checks, solution verification, group
 orbits, symmetry reduction, flux checks, and finite-difference simulation.
 
+Each subcommand returns `(ok, lines)`; `main` writes the lines to stdout or
+`--output` and maps `ok` to the exit code.
+
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage error,
 3 file not found.
 """
@@ -58,27 +61,31 @@ def _float_bindings(bindings):
     return out
 
 
-def _emit(lines, output):
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _family(args):
-    fid = args.family
+def _sizes(text):
+    """argparse type of --sizes: two or more comma-separated grid sizes."""
     try:
-        if getattr(args, "file", None):
-            with open(args.file) as fh:
-                sol = so.parse_solution_file(fh.read())
-        else:
-            sol = so.builtin_family(fid, branch=getattr(args, "branch", "upper"),
-                                    system_id=getattr(args, "system", None))
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
+    if len(sizes) < 2:
+        raise argparse.ArgumentTypeError("needs at least two grid sizes")
+    return sizes
+
+
+def _verdict(ok):
+    return f"verdict: {'pass' if ok else 'FAIL'}"
+
+
+def _family(args, path=None):
+    try:
+        if path:
+            with open(path) as fh:
+                return so.parse_solution_file(fh.read())
+        return so.builtin_family(args.family, branch=args.branch,
+                                 system_id=args.system)
     except so.SolutionError as exc:
         raise UsageError(str(exc))
-    return sol
 
 
 def _entry(cat, args):
@@ -91,13 +98,12 @@ def _entry(cat, args):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (ok, report lines)
 
 def _cmd_validate(args):
     cat = Catalog.load(args.catalog)
-    if args.all:
-        keys = None
-    else:
+    keys = None
+    if not args.all:
         if args.table is None:
             raise UsageError("validate needs --all or --table [--case]")
         keys = [(t, c) for (t, c) in sorted(cat.entries)
@@ -121,8 +127,7 @@ def _cmd_validate(args):
         n_ent = len({(r.table, r.case_id) for r in rows})
         lines.append(f"entries: {n_ent}  checks: {len(rows)}  "
                      f"verdict: {'pass' if rep.ok else 'FAIL'}")
-    _emit(lines, args.output)
-    return EXIT_OK if rep.ok else EXIT_FAIL
+    return rep.ok, lines
 
 
 def _cmd_determining(args):
@@ -138,8 +143,7 @@ def _cmd_determining(args):
     eqs = sorted((ex.render(e) for e in ds.equations), key=lambda s: (len(s), s))
     lines = [f"determining equations ({len(eqs) + 1}):", f"  (1) {deps}"]
     lines += [f"  ({i + 2}) {s} = 0" for i, s in enumerate(eqs)]
-    _emit(lines, args.output)
-    return EXIT_OK
+    return True, lines
 
 
 def _cmd_check(args):
@@ -156,9 +160,8 @@ def _cmd_check(args):
         lines.append(f"{name:<10} {'pass' if verdict.invariant else 'FAIL'}"
                      + (f"  witnesses: {len(verdict.witnesses)}"
                         if not verdict.invariant else ""))
-    lines.append(f"verdict: {'pass' if ok else 'FAIL'}")
-    _emit(lines, args.output)
-    return EXIT_OK if ok else EXIT_FAIL
+    lines.append(_verdict(ok))
+    return ok, lines
 
 
 def _cmd_commutators(args):
@@ -176,62 +179,52 @@ def _cmd_commutators(args):
     for f in rep.failures:
         lines.append(f"not in span: {f}")
     lines.append(f"closes: {'yes' if rep.closes else 'NO'}")
-    _emit(lines, args.output)
-    return EXIT_OK if rep.closes else EXIT_FAIL
+    return rep.closes, lines
 
 
 def _cmd_verify_solution(args):
-    sol = _family(args)
+    sol = _family(args, args.file)
     system = sol.system()
     r1, r2 = so.residual(system, sol)
     symbolic_ok = r1.is_zero and r2.is_zero
     bindings = _parse_bindings(args.bind)
-    rows = []
     max_res = 0.0
     numeric_note = "skipped (no bindings)"
+    numeric_ok = True
     if bindings:
-        worst, npts = so.residual_numeric(system, sol, _float_bindings(bindings),
-                                          points=args.points, seed=args.seed)
-        max_res = worst
-        numeric_note = f"max |residual| {worst:.3e} over {npts} points"
-        numeric_ok = worst < args.tol
-    else:
-        numeric_ok = True
+        max_res, npts = so.residual_numeric(
+            system, sol, _float_bindings(bindings),
+            points=args.points, seed=args.seed)
+        numeric_note = f"max |residual| {max_res:.3e} over {npts} points"
+        numeric_ok = max_res < args.tol
     ok = symbolic_ok and numeric_ok
-    rows.append((sol.name, sol.system_id, max_res, args.points if bindings else 0,
-                 "pass" if ok else "FAIL"))
     if args.format == "csv":
-        lines = so.verification_csv(rows).rstrip("\n").split("\n")
-    else:
-        lines = [f"family: {sol.name}  system: {sol.system_id}  "
-                 f"branch: {sol.branch}",
-                 f"symbolic residual: "
-                 f"{'0' if symbolic_ok else 'NONZERO'}",
-                 f"numeric check: {numeric_note}",
-                 f"verdict: {'pass' if ok else 'FAIL'}"]
-    _emit(lines, args.output)
-    return EXIT_OK if ok else EXIT_FAIL
+        row = (sol.name, sol.system_id, max_res,
+               args.points if bindings else 0, "pass" if ok else "FAIL")
+        return ok, so.verification_csv([row]).rstrip("\n").split("\n")
+    return ok, [f"family: {sol.name}  system: {sol.system_id}  "
+                f"branch: {sol.branch}",
+                f"symbolic residual: {'0' if symbolic_ok else 'NONZERO'}",
+                f"numeric check: {numeric_note}",
+                _verdict(ok)]
 
 
 def _cmd_orbit(args):
     sol = _family(args)
     bindings = _parse_bindings(args.bind)
     p = bindings.get("p", ex.parameter("p"))
-    lam1 = bindings.get("lambda1")
-    lam2 = bindings.get("lambda2")
     try:
-        orb = so.group_orbit(sol, p, lam1, lam2, generator=args.generator)
+        orb = so.group_orbit(sol, p, bindings.get("lambda1"),
+                             bindings.get("lambda2"), generator=args.generator)
     except so.SolutionError as exc:
         raise UsageError(str(exc))
     r1, r2 = so.residual(orb.system(), orb)
     ok = r1.is_zero and r2.is_zero
-    lines = [f"orbit of {sol.name} under {args.generator}:",
-             f"u = {ex.render(orb.u_expr)}",
-             f"v = {ex.render(orb.v_expr)}",
-             f"residual on {orb.system_id}: {'0' if ok else 'NONZERO'}",
-             f"verdict: {'pass' if ok else 'FAIL'}"]
-    _emit(lines, args.output)
-    return EXIT_OK if ok else EXIT_FAIL
+    return ok, [f"orbit of {sol.name} under {args.generator}:",
+                f"u = {ex.render(orb.u_expr)}",
+                f"v = {ex.render(orb.v_expr)}",
+                f"residual on {orb.system_id}: {'0' if ok else 'NONZERO'}",
+                _verdict(ok)]
 
 
 def _cmd_reduce(args):
@@ -257,9 +250,8 @@ def _cmd_reduce(args):
         lines.append(f"branch {name}: phi1 = {sp.sstr(f1)}, "
                      f"phi2 = {sp.sstr(sp.simplify(f2))} -> "
                      f"{'satisfies ODEs' if good else 'FAILS'}")
-    lines.append(f"verdict: {'pass' if ok else 'FAIL'}")
-    _emit(lines, args.output)
-    return EXIT_OK if ok else EXIT_FAIL
+    lines.append(_verdict(ok))
+    return ok, lines
 
 
 def _cmd_flux_check(args):
@@ -268,8 +260,7 @@ def _cmd_flux_check(args):
     if bindings:
         sol = sol.subs({ex.parameter(k): v for k, v in bindings.items()})
     try:
-        x0 = sp.sympify(args.x0)
-        x1 = sp.sympify(args.x1)
+        x0, x1 = sp.sympify(args.x0), sp.sympify(args.x1)
     except sp.SympifyError:
         raise UsageError("cannot parse --x0/--x1")
     rep = so.flux_check(sol, x0, x1)
@@ -277,9 +268,8 @@ def _cmd_flux_check(args):
     for (pt, ux, vx) in rep.endpoint_values:
         lines.append(f"  x = {ex.render(pt)}: u_x = {ex.render(ux)}, "
                      f"v_x = {ex.render(vx)}")
-    lines.append(f"verdict: {'pass' if rep.passed else 'FAIL'}")
-    _emit(lines, args.output)
-    return EXIT_OK if rep.passed else EXIT_FAIL
+    lines.append(_verdict(rep.passed))
+    return rep.passed, lines
 
 
 def _cmd_simulate(args):
@@ -297,44 +287,36 @@ def _cmd_simulate(args):
         cfl = sec.getfloat("cfl", 0.2)
         bc_kind = sec.get("bc", sim.ZERO_NEUMANN)
         init = sec.get("init")
-    except (ValueError, TypeError) as exc:
+        if t_end is None or init is None:
+            raise UsageError("[simulate] needs t_end and init")
+        bindings = {k.split(".", 1)[1]: float(v) for k, v in sec.items()
+                    if k.startswith("bind.")}
+        config = sim.SolverConfig(t_end=t_end, cfl_factor=cfl,
+                                  output_stride=sec.getint("output_stride", 1))
+    except (ValueError, TypeError, sim.SimulatorError) as exc:
         raise UsageError(f"bad [simulate] config: {exc}")
-    if t_end is None or init is None:
-        raise UsageError("[simulate] needs t_end and init")
-    bindings = {k.split(".", 1)[1]: float(v) for k, v in sec.items()
-                if k.startswith("bind.")}
     try:
         sol = so.builtin_family(init)
     except so.SolutionError:
         raise UsageError(f"unknown init family {init!r}")
-    if sec.get("system"):
-        system = so.target_system(sec.get("system"))
-    else:
-        system = sol.system()
+    system = (so.target_system(sec["system"]) if sec.get("system")
+              else sol.system())
     eval_u, eval_v = sim.field_functions(sol, bindings)
     xs = grid.centers()
     bc = (sim.BCSpec(bc_kind, family=sol, bindings=bindings)
           if bc_kind == sim.EXACT_DIRICHLET else sim.BCSpec(bc_kind))
-    config = sim.SolverConfig(t_end=t_end, cfl_factor=cfl,
-                              output_stride=sec.getint("output_stride", 1))
     traj = sim.run(system, grid, (eval_u(0.0, xs), eval_v(0.0, xs)), bc,
                    config, bindings=bindings)
-    _emit(traj.to_csv().rstrip("\n").split("\n"), args.output)
     if traj.aborted:
         sys.stderr.write(f"aborted at step {traj.abort_step}\n")
-        return EXIT_FAIL
-    return EXIT_OK
+    return not traj.aborted, traj.to_csv().rstrip("\n").split("\n")
 
 
 def _cmd_convergence(args):
     sol = _family(args)
     bindings = _float_bindings(_parse_bindings(args.bind))
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if len(sizes) < 2:
-        raise UsageError("--sizes needs at least two grid sizes")
-    system = sol.system()
     try:
-        res = sim.convergence_study(system, sol, sizes, args.t_end,
+        res = sim.convergence_study(sol.system(), sol, args.sizes, args.t_end,
                                     bindings=bindings,
                                     first_order=args.first_order)
     except (sim.SimulatorError, ex.GuardViolation) as exc:
@@ -353,26 +335,24 @@ def _cmd_convergence(args):
         for i, n in enumerate(res.sizes):
             tail = f"  order {res.orders[i - 1]:.4f}" if i else ""
             lines.append(f"  n = {n:>5}: error {res.errors[i]:.6e}{tail}")
-        lines.append(f"verdict: {'pass' if ok else 'FAIL'}")
-    _emit(lines, args.output)
-    return EXIT_OK if ok else EXIT_FAIL
+        lines.append(_verdict(ok))
+    return ok, lines
 
 
 def _cmd_catalog(args):
     cat = Catalog.load(args.catalog)
     if args.action == "list":
-        lines = ["table,case,operators,substitutions"] \
-            if args.format == "csv" else []
+        csv = args.format == "csv"
+        lines = ["table,case,operators,substitutions"] if csv else []
         for (t, c) in sorted(cat.entries):
             e = cat.entry(t, c)
-            if args.format == "csv":
+            if csv:
                 lines.append(f"{t},{c},{'|'.join(e.operators)},"
                              f"{'|'.join(e.substitutions)}")
             else:
                 lines.append(f"table {t} case {c:>2}: "
                              f"{', '.join(e.operators)}")
-        _emit(lines, args.output)
-        return EXIT_OK
+        return True, lines
     entry = _entry(cat, args)
     lines = [f"table {entry.table} case {entry.case_id}", "parameters:"]
     for k, v in sorted(entry.system.params().items()):
@@ -389,12 +369,19 @@ def _cmd_catalog(args):
                      f"eta2 = {ex.render(op.eta2)}")
     if entry.substitutions:
         lines.append("substitutions: " + ", ".join(entry.substitutions))
-    _emit(lines, args.output)
-    return EXIT_OK
+    return True, lines
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _parent(*options):
+    """A parent parser holding the given (flag, keyword arguments) options."""
+    p = argparse.ArgumentParser(add_help=False)
+    for flag, kw in options:
+        p.add_argument(flag, **kw)
+    return p
+
 
 def _build_parser():
     ap = argparse.ArgumentParser(
@@ -403,119 +390,78 @@ def _build_parser():
                     "two-species cross-diffusion system")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
-        p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--catalog", default=None,
-                       help="catalog file (default: packaged data or "
-                            "SYMKIT_CATALOG)")
-        if fmt:
-            p.add_argument("--format", choices=("text", "csv"),
-                           default="text")
+    output = _parent(("--output", dict(help="write the report to this path")))
+    fmt = _parent(("--format", dict(choices=("text", "csv"), default="text")))
+    catalog = _parent(("--catalog", dict(
+        help="catalog file (default: packaged data or SYMKIT_CATALOG)")))
+    family = _parent(
+        ("--family", dict(required=True)),
+        ("--system", {}),
+        ("--branch", dict(choices=("upper", "lower"), default="upper")),
+        ("--bind", dict(action="append", metavar="k=v")))
+    entry, entry_required = (
+        _parent(("--table", dict(type=int, required=required)),
+                ("--case", dict(type=int, required=required)))
+        for required in (False, True))
 
-    p = sub.add_parser("validate", help="check catalog entries for invariance")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--table", type=int)
-    p.add_argument("--case", type=int)
-    common(p)
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("determining",
-                       help="generate the determining-equation system")
-    p.add_argument("--generic", action="store_true",
-                   help="use fully symbolic coefficients")
-    p.add_argument("--table", type=int)
-    p.add_argument("--case", type=int)
-    common(p, fmt=False)
-    p.set_defaults(fn=_cmd_determining)
-
-    p = sub.add_parser("check", help="check one entry (optionally one operator)")
-    p.add_argument("--table", type=int, required=True)
-    p.add_argument("--case", type=int, required=True)
-    p.add_argument("--operator")
-    common(p, fmt=False)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("commutators",
-                       help="commutator table and closure for an entry")
-    p.add_argument("--table", type=int, required=True)
-    p.add_argument("--case", type=int, required=True)
-    common(p, fmt=False)
-    p.set_defaults(fn=_cmd_commutators)
-
-    p = sub.add_parser("verify-solution",
-                       help="residual check for a solution family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--system")
-    p.add_argument("--branch", choices=("upper", "lower"), default="upper")
-    p.add_argument("--file", help="load the family from a solution file")
-    p.add_argument("--bind", action="append", metavar="k=v")
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(fn=_cmd_verify_solution)
-
-    p = sub.add_parser("orbit", help="one-parameter group action on a family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--system")
-    p.add_argument("--branch", choices=("upper", "lower"), default="upper")
-    p.add_argument("--generator", choices=("X1", "X2"), default="X1")
-    p.add_argument("--bind", action="append", metavar="k=v")
-    common(p, fmt=False)
-    p.set_defaults(fn=_cmd_orbit)
-
-    p = sub.add_parser("reduce",
-                       help="symmetry reduction to an ODE system in time")
-    p.add_argument("--system")
-    common(p, fmt=False)
-    p.set_defaults(fn=_cmd_reduce)
-
-    p = sub.add_parser("flux-check",
-                       help="zero-gradient check at interval endpoints")
-    p.add_argument("--family", required=True)
-    p.add_argument("--system")
-    p.add_argument("--branch", choices=("upper", "lower"), default="upper")
-    p.add_argument("--bind", action="append", metavar="k=v")
-    p.add_argument("--x0", default="0")
-    p.add_argument("--x1", default="pi")
-    common(p, fmt=False)
-    p.set_defaults(fn=_cmd_flux_check)
-
-    p = sub.add_parser("simulate", help="finite-difference run from a config")
-    p.add_argument("--config", required=True)
-    common(p, fmt=False)
-    p.set_defaults(fn=_cmd_simulate)
-
-    p = sub.add_parser("convergence", help="grid-refinement error ladder")
-    p.add_argument("--family", required=True)
-    p.add_argument("--system")
-    p.add_argument("--branch", choices=("upper", "lower"), default="upper")
-    p.add_argument("--bind", action="append", metavar="k=v")
-    p.add_argument("--sizes", default="64,128,256")
-    p.add_argument("--t-end", type=float, default=0.2, dest="t_end")
-    p.add_argument("--first-order", action="store_true",
-                   help="use the deliberately first-order stencil")
-    common(p)
-    p.set_defaults(fn=_cmd_convergence)
-
-    p = sub.add_parser("catalog", help="list or show catalog entries")
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("--table", type=int)
-    p.add_argument("--case", type=int)
-    common(p)
-    p.set_defaults(fn=_cmd_catalog)
-
+    flag = dict(action="store_true")
+    commands = (
+        ("validate", _cmd_validate, "check catalog entries for invariance",
+         (entry, fmt, catalog), [("--all", flag)]),
+        ("determining", _cmd_determining,
+         "generate the determining-equation system", (entry, catalog),
+         [("--generic", dict(flag, help="use fully symbolic coefficients"))]),
+        ("check", _cmd_check, "check one entry (optionally one operator)",
+         (entry_required, catalog), [("--operator", {})]),
+        ("commutators", _cmd_commutators,
+         "commutator table and closure for an entry",
+         (entry_required, catalog), []),
+        ("verify-solution", _cmd_verify_solution,
+         "residual check for a solution family", (family, fmt),
+         [("--file", dict(help="load the family from a solution file")),
+          ("--points", dict(type=int, default=20)),
+          ("--tol", dict(type=float, default=1e-10)),
+          ("--seed", dict(type=int, default=0))]),
+        ("orbit", _cmd_orbit, "one-parameter group action on a family",
+         (family,), [("--generator", dict(choices=("X1", "X2"),
+                                          default="X1"))]),
+        ("reduce", _cmd_reduce, "symmetry reduction to an ODE system in time",
+         (), [("--system", {})]),
+        ("flux-check", _cmd_flux_check,
+         "zero-gradient check at interval endpoints", (family,),
+         [("--x0", dict(default="0")), ("--x1", dict(default="pi"))]),
+        ("simulate", _cmd_simulate, "finite-difference run from a config",
+         (), [("--config", dict(required=True))]),
+        ("convergence", _cmd_convergence, "grid-refinement error ladder",
+         (family, fmt),
+         [("--sizes", dict(type=_sizes, default="64,128,256")),
+          ("--t-end", dict(type=float, default=0.2)),
+          ("--first-order", dict(
+              flag, help="use the deliberately first-order stencil"))]),
+        ("catalog", _cmd_catalog, "list or show catalog entries",
+         (entry, fmt, catalog), [("action", dict(choices=("list", "show")))]),
+    )
+    for name, fn, help, parents, options in commands:
+        p = sub.add_parser(name, help=help,
+                           parents=[output, *parents, _parent(*options)])
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None):
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        ok, lines = args.fn(args)
+        text = "\n".join(lines) + "\n"
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK if ok else EXIT_FAIL
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

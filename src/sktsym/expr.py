@@ -537,8 +537,8 @@ def iszero(e, assumptions=None):
     table = _AtomTable(_ISZERO_GENERATORS)
     sym = _replace_atoms(sym, table, canon)
     n, d = sp.fraction(sp.together(sym))
-    n = _reduce_relations(n, table)
-    if sp.expand(sp.cancel(n)) != 0:
+    # _reduce_relations leaves an expanded polynomial: zero only when it is 0
+    if _reduce_relations(n, table) != 0:
         return False
     if assumptions is not None and not d.is_Number:
         assumptions.add(d.xreplace(table.back))

@@ -89,6 +89,8 @@ class SolverConfig:
             raise SimulatorError("cfl_factor must lie in (0, 1]")
         if self.method != "rk4":
             raise SimulatorError("only rk4 stepping is supported")
+        if self.output_stride < 1:
+            raise SimulatorError("output_stride must be at least 1")
 
 
 def _numeric_params(sys, bindings=None):
@@ -305,6 +307,9 @@ def convergence_study(sys, sol, sizes, t_end, bindings=None, x0=0.0, x1=math.pi,
         if traj.aborted:
             raise SimulatorError(f"solver aborted at n = {n}")
         errors.append(exact_error(traj, sol, bindings, fields=fields))
+        if errors[-1] == 0:
+            raise SimulatorError(f"the error vanishes at n = {n}: the scheme "
+                                 "is exact here, so the order is undefined")
     orders = tuple(math.log2(errors[i] / errors[i + 1])
                    for i in range(len(errors) - 1))
     return ConvergenceResult(sizes=tuple(sizes), errors=tuple(errors),

@@ -246,17 +246,14 @@ def _jet_bindings(sol):
 
 def residual(sys, sol):
     """Substitute the family into both evolution equations; returns the two
-    residual Expressions (zero for an exact solution)."""
+    residual Expressions.  Each is decided once by iszero: a vanishing
+    residual comes back as 0, a nonzero one as the raw substituted
+    expression, unnormalized.  Read only `.is_zero` from the result."""
     b = _jet_bindings(sol)
     assumptions = sol.u_expr.assumptions | sol.v_expr.assumptions
-    out = []
-    for k in (1, 2):
-        s = sys.S_raw(k).xreplace(b)
-        if ex.iszero(s):
-            out.append(ex.normalize(0, assumptions))
-        else:
-            out.append(ex.normalize(s, assumptions))
-    return tuple(out)
+    raws = (sys.S_raw(k).xreplace(b) for k in (1, 2))
+    return tuple(ex.Expression(0 if ex.iszero(s) else s, assumptions)
+                 for s in raws)
 
 
 def sample_points(sol, bindings, points=20, seed=0,

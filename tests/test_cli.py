@@ -201,3 +201,39 @@ class TestOtherSubcommands:
         assert code == 2
         assert "sqrt radicand" in err
         assert "alpha1**2 + 4*lambda1*p*cos(x)" in err
+
+
+SIMULATE_BASE = ("[simulate]\ngrid.n = 16\nt_end = 0.01\ninit = seed-ode\n"
+                 "bind.alpha1 = 1.0\nbind.alpha2 = 2.0\n")
+TRIG_BINDS = ("--bind", "alpha1=-1", "--bind", "alpha2=-3", "--bind", "p=0.05",
+              "--bind", "lambda1=1", "--bind", "lambda2=0")
+
+
+class TestBadInputIsAUsageError:
+    @pytest.mark.parametrize("argv, config", [
+        (("convergence", "--family", "3-7", "--sizes", "8,x"), None),
+        # the scheme reproduces these cases exactly: every error is 0
+        (("convergence", "--family", "steady-upper", "--sizes", "16,32",
+          "--t-end", "0.01"), None),
+        (("convergence", "--family", "3-7", *TRIG_BINDS, "--sizes", "16,32",
+          "--t-end", "0"), None),
+        (("simulate",), SIMULATE_BASE.replace("alpha1 = 1.0", "alpha1 = abc")),
+        (("simulate",), SIMULATE_BASE + "output_stride = x\n"),
+        (("simulate",), SIMULATE_BASE + "output_stride = 0\n"),
+    ], ids=["sizes-not-integers", "steady-family-exact", "t-end-zero",
+            "bind-not-a-number", "stride-not-an-integer", "stride-zero"])
+    def test_exits_two_without_traceback(self, capsys, tmp_path, argv, config):
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = (*argv, "--config", str(cfg))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_catalog_option_only_where_the_catalog_is_loaded(self, capsys):
+        code, _, err = run(capsys, "verify-solution", "--family", "3-5",
+                           "--catalog", "x")
+        assert code == 2
+        assert "unrecognized arguments: --catalog" in err

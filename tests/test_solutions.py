@@ -43,6 +43,17 @@ class TestResidual:
         r1, r2 = so.residual(wrong, fam)
         assert not (r1.is_zero and r2.is_zero)
 
+    def test_nonzero_residual_is_decided_without_normalize(self, monkeypatch):
+        fam = so.builtin_family("family-exp")
+        wrong = so.target_system(so.PLUS)
+        calls = []
+        real = ex.normalize
+        monkeypatch.setattr(ex, "normalize",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        r1, r2 = so.residual(wrong, fam)
+        assert not (r1.is_zero and r2.is_zero)
+        assert calls == []
+
     def test_numeric_oracle_independent(self):
         fam = so.builtin_family("family-trig")
         binds = {"alpha1": -1.0, "alpha2": -3.0, "p": 0.05,
