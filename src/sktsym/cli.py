@@ -293,18 +293,15 @@ def _cmd_simulate(args):
                     if k.startswith("bind.")}
         config = sim.SolverConfig(t_end=t_end, cfl_factor=cfl,
                                   output_stride=sec.getint("output_stride", 1))
-    except (ValueError, TypeError, sim.SimulatorError) as exc:
-        raise UsageError(f"bad [simulate] config: {exc}")
-    try:
         sol = so.builtin_family(init)
-    except so.SolutionError:
-        raise UsageError(f"unknown init family {init!r}")
-    system = (so.target_system(sec["system"]) if sec.get("system")
-              else sol.system())
+        system = (so.target_system(sec["system"]) if sec.get("system")
+                  else sol.system())
+        bc = (sim.BCSpec(bc_kind, family=sol, bindings=bindings)
+              if bc_kind == sim.EXACT_DIRICHLET else sim.BCSpec(bc_kind))
+    except (ValueError, TypeError, sim.SimulatorError, so.SolutionError) as exc:
+        raise UsageError(f"bad [simulate] config: {exc}")
     eval_u, eval_v = sim.field_functions(sol, bindings)
     xs = grid.centers()
-    bc = (sim.BCSpec(bc_kind, family=sol, bindings=bindings)
-          if bc_kind == sim.EXACT_DIRICHLET else sim.BCSpec(bc_kind))
     traj = sim.run(system, grid, (eval_u(0.0, xs), eval_v(0.0, xs)), bc,
                    config, bindings=bindings)
     if traj.aborted:

@@ -710,20 +710,17 @@ class NotPolynomialError(ExprError):
     pass
 
 
-def collect_jet(e, monomials=None, gens=None):
+def collect_jet(e):
     """Split e = sum coeff(m) * m over jet monomials.  Returns a dict keyed
     by sympy monomials (1 for the jet-free residual)."""
     en = e if isinstance(e, Expression) else normalize(e)
     n, d = sp.fraction(sp.together(en.sym))
-    if gens is None:
-        gens = [g for g in ALL_JET_SYMBOLS
-                if (1, 0, 0) != _jet_index(g) != (2, 0, 0) and n.has(g)]
-    gens = list(gens)
+    gens = [g for g in ALL_JET_SYMBOLS
+            if (1, 0, 0) != _jet_index(g) != (2, 0, 0) and n.has(g)]
     if any(d.has(g) for g in gens):
         raise NotPolynomialError(f"denominator involves jet variables: {d}")
     if not gens:
-        return {sp.Integer(1): en} if monomials is None else \
-            _fill({sp.Integer(1): en}, monomials)
+        return {sp.Integer(1): en}
     try:
         poly = sp.Poly(n, *gens)
     except sp.PolynomialError as exc:
@@ -732,19 +729,6 @@ def collect_jet(e, monomials=None, gens=None):
     for powers, coeff in poly.terms():
         mono = sp.Mul(*[g ** k for g, k in zip(gens, powers)])
         out[mono] = normalize(coeff / d, en.assumptions)
-    if monomials is not None:
-        out = _fill(out, monomials)
-    return out
-
-
-def _fill(found, monomials):
-    out = {}
-    for m in monomials:
-        ms = m.sym if isinstance(m, Expression) else sp.sympify(m)
-        out[ms] = found.pop(ms, Expression(sp.Integer(0)))
-    leftover = {m: c for m, c in found.items() if not c.is_zero}
-    if leftover:
-        raise NotPolynomialError(f"unlisted jet monomials present: {sorted(map(str, leftover))}")
     return out
 
 

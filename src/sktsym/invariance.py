@@ -465,7 +465,9 @@ def golden_compare():
         found = None
         for eq in full.equations:
             s = _sym(eq).xreplace(zeroed)
-            if s == 0:
+            # s = q * target with q free of derivatives needs target to be
+            # the only derivative in s
+            if s.atoms(sp.Derivative) != {target}:
                 continue
             quo = sp.cancel(sp.together(s / target))
             if not quo.atoms(sp.Derivative) and quo != 0:
@@ -582,9 +584,16 @@ class TransformError(ex.ExprError):
 
 @dataclass(frozen=True)
 class TransformResult:
+    """The image of a system under a point transformation.  When the image
+    fits the 12-parameter template, `system` holds the fitted parameters;
+    otherwise `raw_equations` holds its right-hand sides for u_t and v_t in
+    the new coordinates, and `note` says whether it is outside the template
+    (a time-dependent image included) or its second equation lost its
+    diffusion."""
+
     is_skt: bool
     system: SKTSystem | None
-    raw_equations: tuple | None   # (rhs for u_t, rhs for v_t) when not SKT
+    raw_equations: tuple | None
     note: str = ""
 
 
@@ -642,152 +651,92 @@ def _rewrite_exp_t(s, rate, tm):
     return s.xreplace(repl)
 
 
-def transform_system(sys, Tr):
-    """Push the system through a point transformation of the supported
-    family and re-express it in the 12-parameter template."""
-    tm, xm = Tr.t_map.sym, Tr.x_map.sym
+def _coordinate_change(Tr):
+    """The change to the coordinates of Tr, as (tprime, to_new): tprime is
+    dt*/dt, and to_new maps a raw expression in t, x, u, v and the x-jets of
+    u, v up to order 2 to the same quantity written in t*, x*, u*, v* and
+    their x*-jets, for which the same symbols then stand.  Raises
+    TransformError for a map outside the supported family."""
     (A, B, g), (C, D, h) = _affine_block(Tr.u_map.sym, Tr.v_map.sym)
     det = sp.cancel(A * D - B * C)
     if det == 0:
         raise TransformError("(u,v) block of the transformation is singular")
+    tm, xm = Tr.t_map.sym, Tr.x_map.sym
     cx = sp.cancel(sp.diff(xm, X))
     if xm != X and (cx.has(X) or sp.expand(xm - cx * X) != 0):
         raise TransformError(f"space map {xm} outside the supported family")
     tprime, rate = _time_map(tm)
-
-    # d(u*, v*)/dt along solutions, with u_t, v_t replaced by the system rhs
-    rhs1, rhs2 = sys.rhs_raw(1), sys.rhs_raw(2)
-    dU = sp.diff(A, T) * U + sp.diff(B, T) * V + sp.diff(g, T) + A * rhs1 + B * rhs2
-    dV = sp.diff(C, T) * U + sp.diff(D, T) * V + sp.diff(h, T) + C * rhs1 + D * rhs2
-    new_rhs = [sp.cancel(dU / tprime), sp.cancel(dV / tprime)]
-
-    # invert the affine block: (u, v) in terms of (U*, V*)
-    Us, Vs = sp.Dummy("Ustar"), sp.Dummy("Vstar")
-    inv_u = sp.cancel((D * (Us - g) - B * (Vs - h)) / det)
-    inv_v = sp.cancel((-C * (Us - g) + A * (Vs - h)) / det)
-    jet_map = {}
-    star = {}
-    for dep in (1, 2):
-        for nt, nx in ((0, 0), (0, 1), (0, 2)):
-            star[(dep, nt, nx)] = sp.Dummy(f"J{dep}{nt}{nx}")
-    for dep, inv in ((1, inv_u), (2, inv_v)):
-        coefU = sp.diff(inv, Us)
-        coefV = sp.diff(inv, Vs)
-        const = sp.expand(inv - coefU * Us - coefV * Vs)
-        jet_map[jet(dep, 0, 0)] = (coefU * star[(1, 0, 0)]
-                                   + coefV * star[(2, 0, 0)] + const)
+    # (u, v) in terms of (u*, v*); each x-derivative picks up a factor cx
+    space = {X: X / cx}
+    for dep, num in ((1, D * (U - g) - B * (V - h)),
+                     (2, A * (V - h) - C * (U - g))):
+        inv = sp.cancel(num / det)
+        cu, cv = sp.diff(inv, U), sp.diff(inv, V)
+        space[jet(dep, 0, 0)] = inv
         for nx in (1, 2):
-            jet_map[jet(dep, 0, nx)] = cx ** nx * (
-                coefU * star[(1, 0, nx)] + coefV * star[(2, 0, nx)])
-    new_rhs = [sp.cancel(r.xreplace(jet_map)) for r in new_rhs]
+            space[jet(dep, 0, nx)] = cx ** nx * (cu * jet(1, 0, nx)
+                                                 + cv * jet(2, 0, nx))
 
-    if rate is not None:
-        new_rhs = [_rewrite_exp_t(r, rate, tm) for r in new_rhs]
-    else:
-        scale = tprime  # t = t*/alpha1
-        new_rhs = [r.xreplace({T: T / scale}) for r in new_rhs]
-    for r in new_rhs:
-        if sp.cancel(r).has(T):
-            raise TransformError(f"transformed equation is time dependent: {r}")
-
-    back = {star[(1, 0, 0)]: U, star[(2, 0, 0)]: V,
-            star[(1, 0, 1)]: jet(1, 0, 1), star[(2, 0, 1)]: jet(2, 0, 1),
-            star[(1, 0, 2)]: jet(1, 0, 2), star[(2, 0, 2)]: jet(2, 0, 2)}
-    new_rhs = [sp.expand(sp.cancel(r.xreplace(back))) for r in new_rhs]
-    return _match_template(new_rhs)
-
-
-def _match_template(new_rhs):
-    """Fit (rhs_u, rhs_v) to the 12-parameter template; flag non-template
-    images (including a diffusion-free second equation)."""
-    ux, vx = jet(1, 0, 1), jet(2, 0, 1)
-    uxx, vxx = jet(1, 0, 2), jet(2, 0, 2)
-    params = {}
-    raw = tuple(ex.normalize(r) for r in new_rhs)
-    try:
-        for eqno, r in enumerate(new_rhs, start=1):
-            split = {}
-            poly = sp.Poly(r, ux, vx, uxx, vxx)
-            for powers, coeff in poly.terms():
-                split[powers] = sp.expand(coeff)
-            own_xx = split.pop((0, 0, 1, 0) if eqno == 1 else (0, 0, 0, 1),
-                               sp.Integer(0))
-            other_xx = split.pop((0, 0, 0, 1) if eqno == 1 else (0, 0, 1, 0),
-                                 sp.Integer(0))
-            own_sq = split.pop((2, 0, 0, 0) if eqno == 1 else (0, 2, 0, 0),
-                               sp.Integer(0))
-            cross = split.pop((1, 1, 0, 0), sp.Integer(0))
-            react = split.pop((0, 0, 0, 0), sp.Integer(0))
-            if split and any(sp.expand(c) != 0 for c in split.values()):
-                return TransformResult(False, None, raw,
-                                       note="unexpected jet monomials in the image")
-            own, other = (U, V) if eqno == 1 else (V, U)
-            pre = "1" if eqno == 1 else "2"
-            dlin = sp.Poly(own_xx, U, V)
-            d0 = dlin.nth(0, 0)
-            dU_, dV_ = dlin.nth(1, 0), dlin.nth(0, 1)
-            if dlin.total_degree() > 1:
-                return TransformResult(False, None, raw,
-                                       note="diffusivity not affine in (u, v)")
-            if eqno == 1:
-                cand = dict(d1=d0, d11=dV_ * 0 + dU_ / 2, d12=dV_)
-                checks = [(other_xx, cand["d12"] * U),
-                          (own_sq, 2 * cand["d11"]),
-                          (cross, 2 * cand["d12"])]
-            else:
-                cand = dict(d2=d0, d22=dV_ / 2, d21=dU_)
-                checks = [(other_xx, cand["d21"] * V),
-                          (own_sq, 2 * cand["d22"]),
-                          (cross, 2 * cand["d21"])]
-            for got, want in checks:
-                if sp.expand(got - want) != 0:
-                    return TransformResult(False, None, raw,
-                                           note="image not of SKT template")
-            rp = sp.Poly(react, U, V)
-            if rp.total_degree() > 2:
-                return TransformResult(False, None, raw,
-                                       note="reaction degree exceeds 2")
-            if eqno == 1:
-                cand.update(a1=rp.nth(1, 0), b1=-rp.nth(2, 0), c1=-rp.nth(1, 1))
-                stray = [rp.nth(0, 0), rp.nth(0, 1), rp.nth(0, 2)]
-            else:
-                cand.update(a2=rp.nth(0, 1), c2=-rp.nth(0, 2), b2=-rp.nth(1, 1))
-                stray = [rp.nth(0, 0), rp.nth(1, 0), rp.nth(2, 0)]
-            if any(sp.expand(s_) != 0 for s_ in stray):
-                return TransformResult(False, None, raw,
-                                       note="reaction outside the template")
-            params.update({k: sp.cancel(v) for k, v in cand.items()})
-    except sp.PolynomialError:
-        return TransformResult(False, None, raw, note="image not polynomial in jets")
-    new_sys = SKTSystem.make(**params)
-    if all(sp.expand(_sym(getattr(new_sys, k))) == 0
-           for k in ("d2", "d21", "d22")):
-        return TransformResult(False, None, raw,
-                               note="second equation lost its diffusion; not SKT template")
-    return TransformResult(True, new_sys, None)
-
-
-def pushforward(Xf, Tr, sys=None):
-    """Push a vector field forward along a transformation of the supported
-    family: new coefficients are X applied to the new coordinate functions,
-    re-expressed in the new coordinates."""
-    tm, xm = Tr.t_map.sym, Tr.x_map.sym
-    (A, B, g), (C, D, h) = _affine_block(Tr.u_map.sym, Tr.v_map.sym)
-    det = sp.cancel(A * D - B * C)
-    cx = sp.cancel(sp.diff(xm, X))
-    tprime, rate = _time_map(tm)
-    comps = [Xf.apply(target, raw=True)
-             for target in (tm, xm, A * U + B * V + g, C * U + D * V + h)]
-    # express in new coordinates
-    Us, Vs = sp.Dummy("Us"), sp.Dummy("Vs")
-    inv_u = sp.cancel((D * (Us - g) - B * (Vs - h)) / det)
-    inv_v = sp.cancel((-C * (Us - g) + A * (Vs - h)) / det)
-    out = []
-    for val in comps:
-        val = val.xreplace({U: inv_u, V: inv_v}).xreplace({X: X / cx})
+    def to_new(s):
+        s = sp.cancel(s.xreplace(space))
         if rate is not None:
-            val = _rewrite_exp_t(sp.cancel(val), rate, tm)
-        else:
-            val = val.xreplace({T: T / tprime})
-        out.append(sp.cancel(val.xreplace({Us: U, Vs: V})))
-    return VectorField.make(*out, name=(Xf.name or "X") + "*")
+            return _rewrite_exp_t(s, rate, tm)
+        return s.xreplace({T: T / tprime})
+    return tprime, to_new
+
+
+def transform_system(sys, Tr):
+    """The image of the system under a point transformation of the supported
+    family, fitted to the 12-parameter template.  The equation for u* =
+    u_map is u*_t* = D_t(u_map) / tprime with u_t, v_t replaced by the
+    system's right-hand sides, written in the new coordinates
+    (_coordinate_change); likewise for v*."""
+    tprime, to_new = _coordinate_change(Tr)
+    rhs1, rhs2 = sys.rhs_raw(1), sys.rhs_raw(2)
+    image = []
+    for m in (Tr.u_map.sym, Tr.v_map.sym):
+        dm = sp.diff(m, T) + sp.diff(m, U) * rhs1 + sp.diff(m, V) * rhs2
+        image.append(to_new(dm / tprime))
+    return _fit_template(image)
+
+
+_TEMPLATE_GENS = (T, X, U, V, jet(1, 0, 1), jet(2, 0, 1), jet(1, 0, 2), jet(2, 0, 2))
+
+
+def _fit_template(image):
+    """Fit the image (the right-hand sides for u_t and v_t) to the
+    12-parameter template: one _split_solve over the monomials in t, x, u, v
+    and the x-jets, with the parameters as unknowns.  An inconsistent fit (a
+    pivot in the last column) or an image that is not polynomial over the
+    parameter field is outside the template."""
+    unknowns = [sp.Dummy(k) for k in _PARAM_KEYS]
+    template = SKTSystem(**{k: Expression(d) for k, d in zip(_PARAM_KEYS, unknowns)})
+    n = len(unknowns)
+    try:
+        rref, pivots = _split_solve(
+            [r - template.rhs_raw(k) for k, r in zip((1, 2), image)],
+            unknowns, gens=_TEMPLATE_GENS)
+    except ex.NotPolynomialError:
+        pivots = (n,)
+    if n not in pivots:
+        # the template's columns are independent, so every unknown is a pivot
+        system = SKTSystem.make(**{k: rref.domain.to_sympy(-rref[i, n].element)
+                                   for i, k in enumerate(_PARAM_KEYS)})
+        if not all(getattr(system, k).is_zero for k in ("d2", "d21", "d22")):
+            return TransformResult(True, system, None)
+        note = "second equation lost its diffusion"
+    else:
+        note = "image outside the SKT template"
+    return TransformResult(False, None, tuple(ex.normalize(r) for r in image),
+                           note=note)
+
+
+def pushforward(Xf, Tr):
+    """Push a vector field forward along a point transformation of the
+    supported family: the new coefficients are Xf applied to the new
+    coordinate functions (t_map, x_map, u_map, v_map), written in the new
+    coordinates (_coordinate_change)."""
+    _, to_new = _coordinate_change(Tr)
+    comps = [to_new(Xf.apply(m.sym, raw=True))
+             for m in (Tr.t_map, Tr.x_map, Tr.u_map, Tr.v_map)]
+    return VectorField.make(*comps, name=(Xf.name or "X") + "*")

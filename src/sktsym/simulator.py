@@ -18,6 +18,7 @@ from .invariance import SKTSystem
 ZERO_NEUMANN = "zero-neumann"
 PERIODIC = "periodic"
 EXACT_DIRICHLET = "exact-dirichlet"
+MIN_DT = 1e-12     # run() raises on a smaller step (time step underflow)
 
 
 class SimulatorError(Exception):
@@ -79,16 +80,12 @@ class BCSpec:
 class SolverConfig:
     t_end: float
     cfl_factor: float = 0.2
-    method: str = "rk4"
     output_stride: int = 1
-    min_dt: float = 1e-12
     first_order_stencil: bool = False   # negative-control variant
 
     def __post_init__(self):
         if not (0 < self.cfl_factor <= 1):
             raise SimulatorError("cfl_factor must lie in (0, 1]")
-        if self.method != "rk4":
-            raise SimulatorError("only rk4 stepping is supported")
         if self.output_stride < 1:
             raise SimulatorError("output_stride must be at least 1")
 
@@ -235,7 +232,7 @@ def run(sys, grid, init, bc, config, bindings=None):
             dmax = 1.0
         dt = config.cfl_factor * grid.h ** 2 / dmax
         dt = min(dt, config.t_end - state.time)
-        if dt < config.min_dt:
+        if dt < MIN_DT:
             raise SimulatorError(f"time step underflow: dt = {dt}")
 
         def f(t, u, v):

@@ -220,8 +220,12 @@ class TestBadInputIsAUsageError:
         (("simulate",), SIMULATE_BASE.replace("alpha1 = 1.0", "alpha1 = abc")),
         (("simulate",), SIMULATE_BASE + "output_stride = x\n"),
         (("simulate",), SIMULATE_BASE + "output_stride = 0\n"),
+        (("simulate",), SIMULATE_BASE + "bc = foo\n"),
+        (("simulate",), SIMULATE_BASE + "system = 9-9\n"),
+        (("simulate",), SIMULATE_BASE.replace("seed-ode", "no-such-family")),
     ], ids=["sizes-not-integers", "steady-family-exact", "t-end-zero",
-            "bind-not-a-number", "stride-not-an-integer", "stride-zero"])
+            "bind-not-a-number", "stride-not-an-integer", "stride-zero",
+            "unknown-bc", "unknown-system", "unknown-init"])
     def test_exits_two_without_traceback(self, capsys, tmp_path, argv, config):
         if config is not None:
             cfg = tmp_path / "run.cfg"
@@ -231,6 +235,8 @@ class TestBadInputIsAUsageError:
         assert code == 2
         assert "error:" in err
         assert "Traceback" not in err
+        if argv[0] == "simulate":
+            assert "bad [simulate] config" in err
 
     def test_catalog_option_only_where_the_catalog_is_loaded(self, capsys):
         code, _, err = run(capsys, "verify-solution", "--family", "3-5",

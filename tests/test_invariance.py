@@ -129,3 +129,38 @@ class TestPointTransformation:
         swap = inv.PointTransformation.make(u_map="v", v_map="u")
         out = inv.transform_system(s, swap)
         assert out.system.equals(s.swap_uv())
+
+    @pytest.mark.parametrize("key, sub_id", [
+        ((1, 3), "37a:10"), ((1, 12), "37a:10"), ((2, 1), "112:1"),
+        ((2, 3), "112:1"), ((2, 4), "112:1")])
+    def test_time_dependent_image_is_not_skt(self, catalog, key, sub_id):
+        # t is a generator of the template fit, so an image that keeps a
+        # t-dependence is outside the template, not an error
+        out = catalog.apply_substitution(catalog.entry(*key), sub_id)
+        assert not out.is_skt and out.system is None
+        assert out.note == "image outside the SKT template"
+        assert any(r.has(T) for r in out.raw_equations)
+        assert not any(r.sym.atoms(sp.Dummy) for r in out.raw_equations)
+
+    def test_constant_term_is_outside_the_template(self, catalog):
+        # the shift u -> u + d1/(2 d11) leaves a u-free reaction term
+        out = catalog.apply_substitution(catalog.entry(1, 3), "37a:3")
+        assert not out.is_skt
+        assert out.note == "image outside the SKT template"
+
+    def test_second_equation_without_diffusion_is_not_skt(self):
+        # the swap moves the only diffusion into the second equation's slot
+        s = inv.SKTSystem.make(d2="1", d21="1")
+        swap = inv.PointTransformation.make(u_map="v", v_map="u")
+        out = inv.transform_system(s, swap)
+        assert not out.is_skt
+        assert out.note == "second equation lost its diffusion"
+        assert out.raw_equations[1].is_zero
+        assert inv.transform_system(s.swap_uv(), swap).is_skt
+
+    def test_singular_map_is_rejected(self):
+        singular = inv.PointTransformation.make(u_map="u + v", v_map="u + v")
+        with pytest.raises(inv.TransformError):
+            inv.transform_system(cross_system(), singular)
+        with pytest.raises(inv.TransformError):
+            inv.pushforward(VectorField.make("1", "0", "0", "0"), singular)
