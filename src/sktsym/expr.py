@@ -8,19 +8,21 @@ reduced by the atom relations
 
     sqrt(R)**2 -> R
     sin(A)**2  -> 1 - cos(A)**2
-    exp(A)*exp(B) -> exp(A+B),   exp(-A) -> 1/exp(A)
 
-with sqrt/sin factors rationalized out of denominators.  Exponentials are
-merged (sympy's powsimp) only in the terms where a product can combine, and
-each cancellation is one polynomial gcd with cofactors.  sympy supplies the
-polynomial arithmetic underneath; this module owns the atom discipline,
-the grammar, the one zero test (iszero) and the one numeric evaluator
-(eval_numeric), which the sample checks and the simulator share.
+with sqrt/sin factors rationalized out of denominators.  Exponentials need no
+relation: each becomes a monomial in generators exp(m/L), one per primitive
+direction m of its exponent, so exp(A)*exp(B) and exp(A+B), or exp(-A) and
+1/exp(A), are the same polynomial.  Each cancellation is one polynomial gcd
+with cofactors.  sympy supplies the polynomial arithmetic underneath; this
+module owns the atom discipline, the grammar, the one zero test (iszero) and
+the one numeric evaluator (eval_numeric), which the sample checks and the
+simulator share.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -204,63 +206,77 @@ class _AtomTable:
 
 
 def _replace_atoms(e, table, canon):
-    """Bottom-up replacement of atoms by generator symbols, canonicalizing
-    arguments along the way.  A subtree that recurs (the same exponential in
-    many terms) is replaced once."""
+    """Bottom-up replacement of atoms by generator symbols.  The argument of
+    an exp, sin or cos and a sqrt radicand are canonicalized as expressions
+    of their own before their atoms are replaced, so that an atom gets one
+    key however its argument was written.  A subtree that recurs (the same
+    exponential in many terms) is replaced once.
+
+    An exponential splits into powers of generators exp(m/q), one for each
+    primitive direction m (the exponent's terms without their rational
+    coefficients) and denominator q.  Once the whole expression is replaced,
+    every generator of a direction is rewritten as a power of exp(m/L), L
+    the lcm of its q's, here and in the sqrt relations.  Products and powers
+    of exponentials then merge as monomials: exp(x/2)**2, exp(x/3)*exp(x/6)
+    and exp(x/2)*exp(t) become the same polynomial as exp(x), exp(x/2) and
+    exp(t + x/2)."""
+    denominators = {}  # direction m -> the q's of its generators exp(m/q)
+
+    def exp_gen(root):
+        return table.gen(sp.exp(root), sp.exp(root.xreplace(table.back)))
+
+    def exp_power(c, m):
+        """exp(c*m) for a rational c = p/q, as exp(m/q)**p."""
+        denominators.setdefault(m, set()).add(c.q)
+        return exp_gen(m / c.q) ** c.p
 
     @functools.cache
     def rec(node):
         if node is sp.E:
             # written-out Euler constants must share the exp(1) generator
-            return table.gen(sp.exp(sp.Integer(1)), sp.E)
+            return exp_power(sp.Integer(1), sp.Integer(1))
         if node.is_Atom:
             return node
         if isinstance(node, sp.exp):
-            # split into integer powers of primitive exponentials so that
-            # e.g. exp(2x), exp(x + a t) and exp(-x) share generators
-            arg = canon(rec(node.args[0]))
+            arg = rec(canon(node.args[0]))
             out = sp.Integer(1)
             for term in sp.Add.make_args(sp.expand(arg)):
                 c, m = term.as_coeff_Mul()
-                if c.is_Integer:
-                    g = table.gen(sp.exp(m), sp.exp(m.xreplace(table.back)))
-                    out *= sp.Pow(g, int(c))
-                else:
-                    if term.could_extract_minus_sign():
-                        g = table.gen(sp.exp(-term),
-                                      sp.exp((-term).xreplace(table.back)))
-                        out *= sp.Pow(g, -1)
-                    else:
-                        g = table.gen(sp.exp(term),
-                                      sp.exp(term.xreplace(table.back)))
-                        out *= g
+                if not c.is_Rational:
+                    # a float coefficient stays inside its direction
+                    c, m = ((sp.Integer(-1), -term)
+                            if term.could_extract_minus_sign()
+                            else (sp.Integer(1), term))
+                out *= exp_power(c, m)
             return out
         if isinstance(node, (sp.sin, sp.cos)):
-            arg = canon(rec(node.args[0]))
+            # the sign is read off the expanded numerator, so that A and -A
+            # key one pair of generators however -A was written
+            num, den = sp.fraction(rec(canon(node.args[0])))
             sign = 1
-            if arg.could_extract_minus_sign():
-                arg = -arg
+            if num.could_extract_minus_sign():
+                num = -num
                 if isinstance(node, sp.sin):
                     sign = -1
-            s_atom, c_atom = sp.sin(arg), sp.cos(arg)
-            gs = table.gen(s_atom, s_atom)
-            gc = table.gen(c_atom, c_atom)
+            arg = num / den
+            orig = arg.xreplace(table.back)
+            gs = table.gen(sp.sin(arg), sp.sin(orig))
+            gc = table.gen(sp.cos(arg), sp.cos(orig))
             table.sin_pair[gs] = gc
             return sign * gs if isinstance(node, sp.sin) else gc
         if node.is_Pow and node.exp.is_Rational and node.exp.q == 2:
             # separate the square-free numeric content from the primitive
             # radicand so sqrt(2)*sqrt(p) and sqrt(2*p) share generators
-            coeff, num_sf, rad = _canon_sqrt(rec(node.base), canon)
+            coeff, num_sf, rad = _canon_sqrt(node.base, canon)
             k = int(node.exp.p)
-            out = coeff ** k
+            out = rec(coeff) ** k
             if num_sf != 1:
                 wn = table.gen(sp.sqrt(num_sf), sp.sqrt(num_sf))
                 table.sqrt_rad[wn] = num_sf
                 out *= wn ** k
             if rad != 1:
-                rad_g = _replace_atoms(rad, table, canon)
-                atom = sp.sqrt(sp.expand(rad_g.xreplace(table.back)))
-                w = table.gen(sp.sqrt(rad_g), atom)
+                rad_g = rec(rad)
+                w = table.gen(sp.sqrt(rad_g), sp.sqrt(rad))
                 table.sqrt_rad[w] = rad_g
                 out *= w ** k
             return out
@@ -275,7 +291,17 @@ def _replace_atoms(e, table, canon):
             raise ExprError(f"unsupported function head: {node.func}")
         return node
 
-    return rec(e)
+    out = rec(e)
+    roots = {}
+    for m, qs in denominators.items():
+        lcm = math.lcm(*qs)
+        roots.update((exp_gen(m / q), exp_gen(m / lcm) ** (lcm // q))
+                     for q in qs if q != lcm)
+    if roots:
+        out = out.xreplace(roots)
+        table.sqrt_rad = {w: rad.xreplace(roots)
+                          for w, rad in table.sqrt_rad.items()}
+    return out
 
 
 def _reduce_relations(poly_expr, table):
@@ -338,46 +364,13 @@ def _cancel(n, d, table, assumptions):
     return sp.fraction(p.as_expr() / q.as_expr())
 
 
-def _can_merge(node):
-    """Whether powsimp(combine="exp") can rewrite this node itself: a product
-    of two exponentials (exp(A) and E both have base E), a product holding a
-    base b and -b, a product left unflattened (x*(t**2*u**2), which sympy
-    builds from x*sqrt(t*u)*sqrt(t*u)**3), a non-integer power of a product
-    (a*b*sqrt(a*b) -> (a*b)**(3/2)), or a number to a symbolic power.  A
-    power of an exponential needs no clause: sympy applies exp(A)**k ->
-    exp(k*A) when it builds the power, wherever powsimp would."""
-    if node.is_Mul:
-        bases = [f.as_base_exp()[0] for f in node.args]
-        if bases.count(sp.E) >= 2 or any(f.is_Mul for f in node.args):
-            return True
-        return any((b.is_Symbol or b.is_Add) and -b in bases for b in bases)
-    if node.is_Pow:
-        b, k = node.args
-        return (b.is_Mul and not k.is_Integer
-                or b.is_Rational and not k.is_Number)
-    return False
-
-
-def _merge_exp(e):
-    """sp.powsimp(e, combine="exp", deep=True), run only on the terms of e
-    where a product can combine; e itself when there is none.  powsimp maps
-    a sum termwise, so merging term by term gives the same expression."""
-    if e.is_Add:
-        terms = [_merge_exp(a) for a in e.args]
-        if all(t is a for t, a in zip(terms, e.args)):
-            return e
-        return sp.Add(*terms)
-    if any(_can_merge(node) for node in sp.preorder_traversal(e)):
-        return sp.powsimp(e, combine="exp", deep=True)
-    return e
-
-
 def _canon_core(e, assumptions):
-    """The full canonicalization pipeline on a raw sympy expression.
-    Exponentials are merged only in the terms where a product can combine
-    (_merge_exp).  Each cancellation is one gcd with cofactors (_cancel); the
-    second runs only when there are sqrt/sin generators, whose relations and
-    conjugates can reintroduce a common factor."""
+    """The full canonicalization pipeline on a raw sympy expression: expand,
+    replace atoms by generators (which merges exponentials, _replace_atoms),
+    cancel, reduce by the relations and rationalize the denominator.  Each
+    cancellation is one gcd with cofactors (_cancel); the second runs only
+    when there are sqrt/sin generators, whose relations and conjugates can
+    reintroduce a common factor."""
     if e.is_Number:
         return e
 
@@ -386,7 +379,7 @@ def _canon_core(e, assumptions):
             return sub
         return _canon_core(sub, assumptions)
 
-    e = _merge_exp(sp.expand(e))
+    e = sp.expand(e)
     table = _AtomTable()
     e = _replace_atoms(e, table, canon)
 
@@ -519,11 +512,13 @@ _ISZERO_GENERATORS = {}
 def iszero(e, assumptions=None):
     """The zero test: whether e vanishes identically on its domain
     (denominators and radicands assumed nonzero).  No canonical form is
-    built: atoms become generators, the expression is brought over one
-    common denominator, and only the numerator is reduced by the relations
-    that normalize() uses.  `assumptions` is an output set, as in
-    _canon_core: when e vanishes, its common denominator is added to it
-    unless that is a number.  The verdict does not depend on it."""
+    built and nothing is expanded first: atoms become generators (the same
+    _replace_atoms as normalize(), so exponentials merge as monomials), the
+    expression is brought over one common denominator, and only the
+    numerator is reduced by the relations that normalize() uses.
+    `assumptions` is an output set, as in _canon_core: when e vanishes, its
+    common denominator is added to it unless that is a number.  The verdict
+    does not depend on it."""
     sym = e.sym if isinstance(e, Expression) else sp.sympify(e)
     if sym == 0:
         return True
@@ -533,7 +528,6 @@ def iszero(e, assumptions=None):
             return sub
         return _canon_core(sub, set())
 
-    sym = _merge_exp(sym)
     table = _AtomTable(_ISZERO_GENERATORS)
     sym = _replace_atoms(sym, table, canon)
     n, d = sp.fraction(sp.together(sym))

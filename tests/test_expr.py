@@ -276,10 +276,19 @@ def _lin_text(draw):
 
 
 @st.composite
+def _exp_text(draw):
+    lin = draw(_lin_text())
+    if draw(st.booleans()):
+        return f"exp{lin}"
+    p, q = draw(st.integers(-3, 3)), draw(st.integers(2, 4))
+    return f"exp({p}/{q}*{lin})"
+
+
+@st.composite
 def _factor_text(draw):
-    kind = draw(st.integers(0, 4))
+    kind = draw(st.integers(0, 5))
     if kind == 0:
-        return f"exp{draw(_lin_text())}"
+        return draw(_exp_text())
     if kind == 1:
         return "exp(1)"
     if kind == 2:
@@ -289,6 +298,10 @@ def _factor_text(draw):
     if kind == 3:
         base = draw(st.sampled_from(("u - v", "v - u")))
         return f"({base})^{draw(st.integers(-2, 2))}"
+    if kind == 4:
+        # exponentials that merge only once the argument is expanded
+        return (f"sin({draw(_exp_text())}*({draw(_exp_text())}"
+                f" + {draw(_lin_text())}))")
     return draw(_lin_text()) + f"^{draw(st.integers(1, 2))}"
 
 
@@ -300,45 +313,117 @@ def _merge_text(draw):
     return " + ".join(products)
 
 
+def _finite(text):
+    """The grammar can divide by a linear form that is 0."""
+    e = ex.parse_sym(text)
+    assume(not e.has(sp.zoo, sp.nan))
+    return e
+
+
+# one case per way sympy's powsimp(combine="exp") can rewrite a product
+_POWSIMP_CASES = [
+    sp.exp(_A) * sp.exp(_B),                  # two exponentials
+    sp.E * sp.exp(_A) + U,                    # E is exp(1)
+    _A / ((U - V) * (V - U)),                 # a base and its negation
+    _A * _B * sp.sqrt(_A * _B),               # radical of a product
+    X * sp.sqrt(T * U) * sp.sqrt(T * U) ** 3,  # unflattened product
+    2 ** X / 4,                               # number to a symbolic power
+]
+
+
 class TestMergeExp:
+    """Exponentials merge in generator space: exp(c*m) is a power of one
+    generator exp(m/L) per direction m, so the kernel needs no powsimp."""
+
+    def test_product_with_half_exponent(self):
+        e = (sp.exp(X / 2) * (sp.exp(X / 2) + sp.exp(T))
+             - sp.exp(X) - sp.exp(T + X / 2))
+        assert ex.iszero(e)
+        assert ex.normalize(e).is_zero
+
     @pytest.mark.parametrize("e", [
-        sp.exp(_A) * sp.exp(_B),                  # two exponentials
-        sp.E * sp.exp(_A) + U,                    # E is exp(1)
-        _A / ((U - V) * (V - U)),                 # a base and its negation
-        _A * _B * sp.sqrt(_A * _B),               # radical of a product
-        X * sp.sqrt(T * U) * sp.sqrt(T * U) ** 3,  # unflattened product
-        2 ** X / 4,                               # number to a symbolic power
+        sp.exp(X / 2) * sp.exp(X / 3 + T) - sp.exp(5 * X / 6 + T),
+        sp.exp(X / 2) * (sp.exp(X / 3 + T) + 1) - sp.exp(5 * X / 6 + T)
+        - sp.exp(X / 2),
     ])
+    def test_denominators_meet_at_their_lcm(self, e):
+        assert ex.iszero(e)
+        assert ex.normalize(e).is_zero
+        assert not ex.iszero(e + sp.exp(X / 3))
+        assert not ex.normalize(e + sp.exp(X / 3)).is_zero
+
+    def test_sqrt_relation_follows_the_rewrite(self):
+        # w**2 = exp(x/3) + 1 must be read over the root exp(x/6) that
+        # exp(x/2) and exp(5x/6) force
+        w = sp.sqrt(sp.exp(X / 3) + 1)
+        e = w ** 3 * sp.exp(X / 2) - w * (sp.exp(5 * X / 6) + sp.exp(X / 2))
+        assert ex.iszero(e)
+        assert ex.normalize(e).is_zero
+        assert not ex.iszero(e + w * sp.exp(X / 3))
+
+    @pytest.mark.parametrize("e", [
+        sp.sin(sp.exp(X / 2) * (sp.exp(X / 2) + 1))
+        - sp.sin(sp.exp(X) + sp.exp(X / 2)),
+        sp.sqrt(sp.exp(X / 2) * (sp.exp(X / 2) + sp.exp(T)))
+        - sp.sqrt(sp.exp(X) + sp.exp(T + X / 2)),
+        sp.exp(X * sp.exp(T / 2) * (sp.exp(T / 2) + 1))
+        - sp.exp(X * sp.exp(T)) * sp.exp(X * sp.exp(T / 2)),
+    ])
+    def test_arguments_merge_before_they_become_keys(self, e):
+        assert ex.iszero(e)
+        assert ex.normalize(e).is_zero
+
+    def test_canonical_form_prints_merged_exponentials(self):
+        out = ex.normalize((sp.exp(X) - 1) / (sp.exp(X / 2) - 1))
+        assert out.sym == sp.exp(X / 2) + 1
+
+    def test_kernel_never_calls_powsimp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("powsimp called")
+
+        monkeypatch.setattr(ex.sp, "powsimp", refuse)
+        for e in _POWSIMP_CASES + [sp.exp(X / 2) * sp.exp(X / 3 + T)]:
+            ex.normalize(e)
+            ex.iszero(e)
+
+    @pytest.mark.parametrize("e", _POWSIMP_CASES)
     def test_rewrite_rule_matches_powsimp(self, e):
-        assert _powsimp(e) != e
-        assert ex._merge_exp(e) == _powsimp(e)
-
-    def test_only_the_merging_term_is_rewritten(self):
-        plain = U ** 2 * V + _A * sp.sqrt(U + 1)
-        e = plain + sp.exp(T) * sp.exp(X) * V
-        out = ex._merge_exp(e)
-        assert out == _powsimp(e) == plain + sp.exp(T + X) * V
-
-    def test_nothing_to_merge_returns_input(self):
-        e = (U ** 2 * ex.jet(1, 0, 1) + sp.exp(X) * sp.sqrt(U + V) / (U - V)
-             + U * sp.sqrt(sp.exp(X)))
-        assert ex._merge_exp(e) is e
-
-    def test_exp_free_normalize_never_calls_powsimp(self, monkeypatch):
-        calls = []
-        real = sp.powsimp
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ex.sp, "powsimp", counting)
-        ux, vxx = ex.jet(1, 0, 1), ex.jet(2, 0, 2)
-        ex.normalize((U + V) ** 2 * ux * vxx - _A * U / (U + V) + ux ** 3)
-        assert calls == []
+        merged = _powsimp(e)
+        assert merged != e
+        assert ex.normalize(e).sym == ex.normalize(merged).sym
+        assert ex.iszero(e - merged)
 
     @settings(max_examples=80, deadline=None)
     @given(_merge_text())
     def test_equals_powsimp(self, text):
-        e = ex.parse_sym(text)
-        assert ex._merge_exp(e) == _powsimp(e)
+        e = _finite(text)
+        assert ex.normalize(e).sym == ex.normalize(_powsimp(e)).sym
+        assert ex.iszero(e - _powsimp(e))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_merge_text(), _merge_text(),
+           st.sampled_from(("powsimp", "expand", "other")))
+    def test_iszero_agrees_with_normalize(self, text, other, how):
+        e = _finite(text)
+        rewritten = {"powsimp": _powsimp, "expand": sp.expand,
+                     "other": lambda _: _finite(other)}[how](e)
+        diff = e - rewritten
+        assert ex.iszero(diff) == ex.normalize(diff).is_zero
+        if how != "other":
+            assert ex.iszero(diff)
+
+
+class TestTrigArguments:
+    @pytest.mark.parametrize("arg", [X / sp.sqrt(_B), sp.sqrt(_B) * X])
+    def test_no_generator_leaks_into_the_argument(self, arg):
+        first, second = (sp.srepr(ex.normalize(sp.cos(arg)).sym)
+                         for _ in range(2))
+        assert first == second
+        assert "Dummy" not in first
+        assert ex.normalize(sp.cos(arg)) == ex.normalize(sp.cos(arg))
+
+    def test_sign_is_read_from_the_expanded_numerator(self):
+        e = sp.sin((1 - T) * sp.exp(-1)) + sp.sin(T * sp.exp(-1) - sp.exp(-1))
+        assert ex.iszero(e)
+        assert ex.normalize(e).is_zero
+        assert not ex.iszero(e + sp.cos((T - 1) * sp.exp(-1)))

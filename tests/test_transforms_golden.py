@@ -10,7 +10,6 @@ Regenerate (only when a change of the images is intended) with
 """
 
 import pathlib
-import re
 import sys
 
 import sympy as sp
@@ -21,11 +20,6 @@ from sktsym.catalog import Catalog
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "transforms.txt"
 TIME_DEPENDENT = {((1, 3), "37a:10"), ((1, 12), "37a:10"),
                   ((2, 1), "112:1"), ((2, 3), "112:1"), ((2, 4), "112:1")}
-_DUMMY = re.compile(r"Dummy\('[^']*', dummy_index=\d+\)")
-
-
-def _srepr(e):
-    return _DUMMY.sub("Dummy(...)", sp.srepr(e))
 
 
 def render(catalog):
@@ -39,14 +33,14 @@ def render(catalog):
                 res = catalog.apply_substitution(entry, tr)
                 if res.is_skt:
                     images.append(f"{head} SKT")
-                    images += [f"  {k} {_srepr(v.sym)}"
+                    images += [f"  {k} {sp.srepr(v.sym)}"
                                for k, v in res.system.params().items()]
                 else:
                     images.append(f"{head} not SKT")
             for name in entry.operators:
                 out = inv.pushforward(catalog.operator(name), tr)
                 coeffs = tuple(c.sym for c in out.coeffs())
-                pushed.append(f"{head} {name} {_srepr(coeffs)}")
+                pushed.append(f"{head} {name} {sp.srepr(coeffs)}")
     return "\n".join(["== transform_system"] + images
                      + ["== pushforward"] + pushed) + "\n"
 
