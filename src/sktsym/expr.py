@@ -13,10 +13,13 @@ with sqrt/sin factors rationalized out of denominators.  Exponentials need no
 relation: each becomes a monomial in generators exp(m/L), one per primitive
 direction m of its exponent, so exp(A)*exp(B) and exp(A+B), or exp(-A) and
 1/exp(A), are the same polynomial.  Each cancellation is one polynomial gcd
-with cofactors.  sympy supplies the polynomial arithmetic underneath; this
-module owns the atom discipline, the grammar, the one zero test (iszero) and
-the one numeric evaluator (eval_numeric), which the sample checks and the
-simulator share.
+with cofactors.  A literal division by zero (sympy's zoo or nan) raises
+ZeroDenominatorError in normalize and iszero, as a denominator that cancels
+to zero does.  sympy supplies the polynomial arithmetic underneath; this
+module owns the atom discipline, the grammar, the one zero test (iszero),
+the one jet-monomial splitter (collect_jet), which normalizes each
+coefficient but never the whole input, and the one numeric evaluator
+(eval_numeric), which the sample checks and the simulator share.
 """
 
 from __future__ import annotations
@@ -492,12 +495,21 @@ class Expression:
         return self.sym.has(*syms)
 
 
+def _check_finite(sym):
+    """Raise ZeroDenominatorError if sympy already evaluated a division by
+    zero in sym (a literal 1/0 or 0/0 becomes zoo or nan)."""
+    if sym.has(sp.zoo, sp.nan):
+        raise ZeroDenominatorError(f"division by zero in {sym}")
+
+
 def normalize(e, assumptions=frozenset()):
-    """Canonicalize a sympy expression (or Expression) into an Expression."""
+    """Canonicalize a sympy expression (or Expression) into an Expression.
+    Raises ZeroDenominatorError if a denominator is identically zero."""
     if isinstance(e, Expression):
         assumptions = frozenset(assumptions) | e.assumptions
         e = e.sym
     e = sp.sympify(e)
+    _check_finite(e)
     acc = set()
     out = _canon_core(e, acc)
     return Expression(out, frozenset(assumptions) | frozenset(acc))
@@ -518,8 +530,10 @@ def iszero(e, assumptions=None):
     numerator is reduced by the relations that normalize() uses.
     `assumptions` is an output set, as in _canon_core: when e vanishes, its
     common denominator is added to it unless that is a number.  The verdict
-    does not depend on it."""
+    does not depend on it.  Raises ZeroDenominatorError, as normalize()
+    does, if e holds a division by zero."""
     sym = e.sym if isinstance(e, Expression) else sp.sympify(e)
+    _check_finite(sym)
     if sym == 0:
         return True
 
@@ -704,26 +718,59 @@ class NotPolynomialError(ExprError):
     pass
 
 
+# the split variables: every jet but u and v, in ALL_JET_SYMBOLS order
+_SPLIT_JETS = {g: i for i, g in enumerate(g for g in ALL_JET_SYMBOLS
+                                          if g not in (U, V))}
+
+
+def _split_term(term):
+    """One term of an expanded sum as (the exponents of the split jets, as a
+    tuple in _SPLIT_JETS order; the jet-free cofactor).  Raises
+    NotPolynomialError when a jet occurs other than as a positive integer
+    power of itself: in a denominator, inside exp/sin/cos/sqrt, or at any
+    other power."""
+    powers = [0] * len(_SPLIT_JETS)
+    rest = []
+    for factor in sp.Mul.make_args(term):
+        base, k = factor.as_base_exp()
+        i = _SPLIT_JETS.get(base)
+        if i is not None and k.is_Integer and k > 0:
+            powers[i] += int(k)
+        elif factor.free_symbols.isdisjoint(_SPLIT_JETS):
+            rest.append(factor)
+        else:
+            raise NotPolynomialError(f"not polynomial in the jets: {factor}")
+    return tuple(powers), sp.Mul(*rest)
+
+
 def collect_jet(e):
-    """Split e = sum coeff(m) * m over jet monomials.  Returns a dict keyed
-    by sympy monomials (1 for the jet-free residual)."""
-    en = e if isinstance(e, Expression) else normalize(e)
-    n, d = sp.fraction(sp.together(en.sym))
-    gens = [g for g in ALL_JET_SYMBOLS
-            if (1, 0, 0) != _jet_index(g) != (2, 0, 0) and n.has(g)]
-    if any(d.has(g) for g in gens):
-        raise NotPolynomialError(f"denominator involves jet variables: {d}")
-    if not gens:
-        return {sp.Integer(1): en}
-    try:
-        poly = sp.Poly(n, *gens)
-    except sp.PolynomialError as exc:
-        raise NotPolynomialError(str(exc)) from exc
-    out = {}
-    for powers, coeff in poly.terms():
-        mono = sp.Mul(*[g ** k for g, k in zip(gens, powers)])
-        out[mono] = normalize(coeff / d, en.assumptions)
-    return out
+    """Split e = sum coeff(m) * m over the jet monomials m (u and v stay in
+    the coefficients).  Returns a dict keyed by sympy monomials, 1 for the
+    jet-free part, in the order of sp.Poly(e, *jets).terms() (lex,
+    descending, jets in ALL_JET_SYMBOLS order).  A coefficient that
+    vanishes has no key; an input with no jets gives {1: normalize(e)}.
+
+    The input, raw or normalized, is expanded and its terms are grouped by
+    monomial; each group is normalized once, with the assumptions of an
+    Expression input.  No canonical form of the whole input is built.
+    Raises NotPolynomialError if a jet occurs in a denominator, inside an
+    atom or at a power that is not a positive integer."""
+    assumptions = frozenset()
+    if isinstance(e, Expression):
+        assumptions, e = e.assumptions, e.sym
+    groups = {}
+    for term in sp.Add.make_args(sp.expand(e)):
+        powers, rest = _split_term(term)
+        groups.setdefault(powers, []).append(rest)
+    jets = tuple(_SPLIT_JETS)
+    out, zero = {}, Expression(sp.Integer(0), assumptions)
+    for powers in sorted(groups, reverse=True):
+        coeff = normalize(sp.Add(*groups[powers]), assumptions)
+        if coeff.is_zero:
+            zero = Expression(zero.sym, zero.assumptions | coeff.assumptions)
+        else:
+            out[sp.Mul(*[g ** k for g, k in zip(jets, powers)])] = coeff
+    return out or {sp.Integer(1): zero}
 
 
 _JET_INDEX = {s: k for k, s in _JET.items()}

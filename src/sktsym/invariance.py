@@ -148,8 +148,11 @@ class Verdict:
 
 
 def check_invariance(sys, Xf):
-    """Is the system invariant under the field?  Non-invariance yields the
-    nonvanishing split coefficients as witnesses."""
+    """Is the system invariant under the field?  Each restricted invariance
+    condition is decided by iszero.  A failing one is normalized as a whole
+    and then split over jet monomials (collect_jet), so that its witnesses,
+    the nonvanishing split coefficients, carry the assumptions of that
+    normalization as well as their own."""
     P = prolong2(Xf)
     witnesses = {}
     assumptions = set()
@@ -158,7 +161,7 @@ def check_invariance(sys, Xf):
         r = manifold_restrict(Ek, sys, raw=True)
         if ex.iszero(r, assumptions):
             continue
-        for mono, coeff in ex.collect_jet(r).items():
+        for mono, coeff in ex.collect_jet(ex.normalize(r)).items():
             assumptions |= coeff.assumptions
             if not coeff.is_zero:
                 witnesses[(k, mono)] = coeff
@@ -309,6 +312,10 @@ def generate_determining(sys=None, full_deps=True):
     """Split the invariance conditions of the generic operator over jet
     monomials.  The artifact derives, rather than assumes, the dependency
     reductions xi0=xi0(t), xi1=xi1(t,x).
+
+    The raw restricted condition goes to collect_jet unnormalized: it is
+    expanded and grouped by monomial, and only each group is normalized,
+    so the large canonical form of the whole condition is never built.
 
     Equations are identified up to a nonzero factor that depends only on the
     parameters: a split coefficient is kept when its _scale_free_key has not

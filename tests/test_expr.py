@@ -196,6 +196,86 @@ class TestCollectJet:
         assert ux ** 2 in keys and ux * vx in keys
         assert ex.normalize(groups[ux ** 2] - (U + 1)).is_zero
 
+    @pytest.mark.parametrize("text", [
+        "u_x/(1 + u_xx)", "exp(u_x)", "sqrt(u_x)", "u_x^-1"])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_jet_outside_a_polynomial_raises(self, text, normalized):
+        e = ex.parse_sym(text)
+        if normalized:
+            e = ex.normalize(e)
+        with pytest.raises(ex.NotPolynomialError):
+            ex.collect_jet(e)
+
+    def test_monomials_in_poly_terms_order(self):
+        ux, vx, uxx, vxx = (ex.jet(d, 0, k) for k in (1, 2) for d in (1, 2))
+        e = ex.normalize(vxx * ux - U * uxx ** 2 + sp.exp(X) * vx * ux
+                         + V * vx ** 3 + T * uxx * vxx - 3 + ux / (U - V))
+        n = sp.fraction(sp.together(e.sym))[0]
+        gens = (ux, uxx, vx, vxx)
+        expected = [sp.Mul(*[g ** k for g, k in zip(gens, powers)])
+                    for powers, _ in sp.Poly(n, *gens).terms()]
+        assert list(ex.collect_jet(e)) == expected
+        assert list(ex.collect_jet(e.sym)) == expected
+
+    def test_no_jets_gives_the_normal_form(self):
+        e = (U ** 2 - V ** 2) / (U - V) + sp.exp(X)
+        out, normal = ex.collect_jet(e), ex.normalize(e)
+        assert list(out) == [sp.Integer(1)]
+        assert out[1].sym == normal.sym
+        assert out[1].assumptions == normal.assumptions == {U - V}
+
+    def test_expression_assumptions_reach_every_coefficient(self):
+        e = ex.Expression(ex.jet(1, 0, 1) + U * ex.jet(2, 0, 2),
+                          frozenset({U - V}))
+        for coeff in ex.collect_jet(e).values():
+            assert U - V in coeff.assumptions
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_raw_and_normalized_splits_agree(self, data):
+        e = data.draw(_jet_polys())
+        raw, normal = ex.collect_jet(e), ex.collect_jet(ex.normalize(e))
+        assert list(raw) == list(normal)
+        assert ([sp.srepr(c.sym) for c in raw.values()]
+                == [sp.srepr(c.sym) for c in normal.values()])
+
+
+_SPLIT_JETS = [ex.jet(d, nt, nx) for d in (1, 2)
+               for nt, nx in ((0, 1), (0, 2), (1, 0))]
+_COEFF_ATOMS = [T, X, U, V, ex.parameter("a"), ex.parameter("b"),
+                sp.exp(X), sp.exp(T - U), sp.sin(X), sp.cos(X),
+                sp.sqrt(X ** 2 + 1), sp.sqrt(ex.parameter("a"))]
+
+
+@st.composite
+def _jet_polys(draw):
+    """A sum of a few coefficient * jet-monomial terms.  Coefficients are
+    rational multiples of products of t, x, u, v, parameters and
+    exp/sin/cos/sqrt atoms over a power of (u - v); several terms can share
+    a monomial."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        c = sp.Rational(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        coeff = c * sp.Mul(*draw(st.lists(st.sampled_from(_COEFF_ATOMS),
+                                          max_size=3)))
+        if draw(st.booleans()):
+            coeff += draw(st.sampled_from(_COEFF_ATOMS))
+        coeff /= (U - V) ** draw(st.integers(0, 2))
+        mono = sp.Mul(*draw(st.lists(st.sampled_from(_SPLIT_JETS),
+                                     max_size=3)))
+        terms.append(coeff * mono)
+    return sp.Add(*terms)
+
+
+class TestZeroDenominator:
+    @pytest.mark.parametrize("text", [
+        "1/(0*t)", "exp(1)/(t-t)", "u/(x-x) - u/(x-x)", "0/(t-t)"])
+    def test_literal_division_by_zero_raises(self, text):
+        with pytest.raises(ex.ZeroDenominatorError):
+            ex.parse(text)
+        with pytest.raises(ex.ZeroDenominatorError):
+            ex.iszero(ex.parse_sym(text))
+
 
 def _gcd_then_cancel(n, d):
     """The two-gcd cancellation that _cancel replaces."""
