@@ -45,9 +45,12 @@ def _parse_bindings(pairs):
             raise UsageError(f"--bind expects k=v, got {item!r}")
         k, _, v = item.partition("=")
         try:
-            out[k.strip()] = sp.nsimplify(sp.sympify(v), rational=False)
+            val = sp.nsimplify(sp.sympify(v), rational=False)
         except (sp.SympifyError, TypeError):
             raise UsageError(f"cannot parse binding value {v!r}")
+        if val.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+            raise UsageError(f"binding value {v!r} is not finite")
+        out[k.strip()] = val
     return out
 
 

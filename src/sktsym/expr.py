@@ -19,7 +19,10 @@ to zero does.  sympy supplies the polynomial arithmetic underneath; this
 module owns the atom discipline, the grammar, the one zero test (iszero),
 the one jet-monomial splitter (collect_jet), which normalizes each
 coefficient but never the whole input, and the one numeric evaluator
-(eval_numeric), which the sample checks and the simulator share.
+(eval_numeric), which the sample checks and the simulator share.  It
+translates an expression once into nested numpy closures (compile_numeric)
+and calls them; the simulator keeps the compiled exact fields for a whole
+ladder.
 """
 
 from __future__ import annotations
@@ -786,49 +789,104 @@ def _jet_index(s):
 _NUMERIC_HEADS = {sp.exp: np.exp, sp.sin: np.sin, sp.cos: np.cos}
 
 
-def eval_numeric(e, bindings, guard=1e-12):
-    """The numeric evaluator: double precision, with guards on denominators
-    and sqrt radicands.  Every free symbol must be bound (by symbol or
-    name).  Array values broadcast and a guard trips on any element; scalar
-    bindings give a float."""
-    sym = e.sym if isinstance(e, Expression) else sp.sympify(e)
-    env = {}
-    for k, val in bindings.items():
-        if isinstance(k, str):
-            k = known_symbols()[k]
-        env[k] = val if isinstance(val, np.ndarray) else float(val)
+def _least(val):
+    """The smallest element of an array (NaN if any is), or a scalar itself."""
+    return val.min() if isinstance(val, np.ndarray) else val
 
-    def ev(node):
-        if node.is_Number or node.is_NumberSymbol:
-            return float(node)
-        if node.is_Symbol:
+
+def _translate(node, guard):
+    """`node` as nested closures over an environment {Symbol: float or
+    array}.  Sums fold from 0 and products from 1.0, left to right over the
+    arguments, and the guards are tested when the closure is called."""
+    if node.is_Number or node.is_NumberSymbol:
+        const = float(node)
+        return lambda env: const
+    if node.is_Symbol:
+        def symbol(env):
             try:
                 return env[node]
             except KeyError:
                 raise UnboundSymbolError(f"unbound symbol {node}")
-        if node.is_Add:
-            return sum(ev(a) for a in node.args)
-        if node.is_Mul:
-            out = 1.0
-            for a in node.args:
-                out *= ev(a)
-            return out
-        if node.is_Pow:
-            base = ev(node.base)
-            expo = node.exp
-            if expo.is_Integer:
-                k = int(expo)
-                if k < 0 and np.min(np.abs(base)) < guard:
-                    raise GuardViolation("denominator below guard", node.base)
-                return base ** k
-            if expo.is_Rational and expo.q == 2:
-                if np.min(base) < guard:
-                    raise GuardViolation("sqrt radicand below guard", node.base)
-                return base ** float(expo)
-            return base ** ev(expo)
-        if node.func in _NUMERIC_HEADS:
-            return _NUMERIC_HEADS[node.func](ev(node.args[0]))
-        raise UnboundSymbolError(f"cannot evaluate {node}")
+        return symbol
+    if node.is_Add:
+        terms = tuple(_translate(a, guard) for a in node.args)
 
-    out = ev(sym)
-    return out if isinstance(out, np.ndarray) else float(out)
+        def add(env):
+            out = 0
+            for f in terms:
+                out = out + f(env)
+            return out
+        return add
+    if node.is_Mul:
+        factors = tuple(_translate(a, guard) for a in node.args)
+
+        def mul(env):
+            out = 1.0
+            for f in factors:
+                out *= f(env)
+            return out
+        return mul
+    if node.is_Pow:
+        base, expo = _translate(node.base, guard), node.exp
+        if expo.is_Integer:
+            k = int(expo)
+            if k >= 0:
+                return lambda env: base(env) ** k
+
+            def reciprocal(env):
+                b = base(env)
+                if _least(abs(b)) < guard:
+                    raise GuardViolation("denominator below guard", node.base)
+                return b ** k
+            return reciprocal
+        if expo.is_Rational and expo.q == 2:
+            half = float(expo)
+
+            def root(env):
+                b = base(env)
+                if _least(b) < guard:
+                    raise GuardViolation("sqrt radicand below guard", node.base)
+                return b ** half
+            return root
+        power = _translate(expo, guard)
+        return lambda env: base(env) ** power(env)
+    if node.func in _NUMERIC_HEADS:
+        head, arg = _NUMERIC_HEADS[node.func], _translate(node.args[0], guard)
+        return lambda env: head(arg(env))
+
+    def unknown(env):
+        raise UnboundSymbolError(f"cannot evaluate {node}")
+    return unknown
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(sym, guard):
+    return _translate(sym, guard)
+
+
+def compile_numeric(e, guard=1e-12):
+    """The numeric evaluator, compiled: the tree of `e` is translated once
+    into nested numpy closures (cached per expression and guard), and the
+    returned function evaluates them at a bindings dict, as eval_numeric
+    does."""
+    run = _compiled(e.sym if isinstance(e, Expression) else sp.sympify(e),
+                    guard)
+
+    def evaluate(bindings):
+        env = {}
+        for k, val in bindings.items():
+            if isinstance(k, str):
+                k = known_symbols()[k]
+            env[k] = val if isinstance(val, np.ndarray) else float(val)
+        out = run(env)
+        return out if isinstance(out, np.ndarray) else float(out)
+    return evaluate
+
+
+def eval_numeric(e, bindings, guard=1e-12):
+    """The numeric evaluator: double precision, with guards on denominators
+    and sqrt radicands.  Every free symbol must be bound (by symbol or
+    name).  Array values broadcast and a guard trips on any element; scalar
+    bindings give a float.  The expression is compiled once by
+    compile_numeric; a guard or an unbound symbol raises when evaluated."""
+    return compile_numeric(e, guard)(bindings)

@@ -1,12 +1,29 @@
 """Method-of-lines finite-difference solver for the conservative form of the
 cross-diffusion system, used to cross-validate closed-form solutions and to
-check flux/conservation behavior."""
+check flux/conservation behavior.
+
+A state (GridState) keeps u and v as the two rows of one (2, n) array.
+There is one right-hand side, discretize_rhs: it pads both rows into one
+ghost buffer, forms the composite fields P and Q together with (2, size)
+coefficient arrays (the u equation's coefficient in row 0, the v
+equation's in row 1), takes their second difference on both rows at once
+and adds the reaction terms in place.  run forms the RK4 stage arguments
+and the update in place on stacked arrays.  Every operation keeps the
+order of the per-field formulas,
+
+    P = ((d1 + d11 u) + d12 v) u,       lap = ((F+ - 2F) + F-) / h^2,
+    du = ((lap + a1 u) - (b1 u) u) - (c1 u) v,
+    u1 = u0 + dt/6 (((k1 + 2 k2) + 2 k3) + k4),
+
+and only swaps the operands of a single + or *, or doubles x as x + x;
+both are exact, so the floats are those of stepping u and v one at a time.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import sympy as sp
@@ -19,6 +36,8 @@ ZERO_NEUMANN = "zero-neumann"
 PERIODIC = "periodic"
 EXACT_DIRICHLET = "exact-dirichlet"
 MIN_DT = 1e-12     # run() raises on a smaller step (time step underflow)
+_ENDS_ONLY = 2 ** 62  # an output_stride beyond any step count: only the
+                      # initial and the final state are kept
 
 
 class SimulatorError(Exception):
@@ -45,17 +64,35 @@ class Grid1D:
         return self.x0 + (np.arange(self.n) + 0.5) * self.h
 
 
-@dataclass
 class GridState:
-    u: np.ndarray
-    v: np.ndarray
-    time: float = 0.0
+    """u and v on the cells, as the two rows of one (2, n) array `uv`, at
+    `time`.  GridState(u, v, time) copies the fields into a new array;
+    GridState.stacked(uv, time) wraps an existing one."""
+    __slots__ = ("uv", "time")
+
+    def __init__(self, u, v, time=0.0):
+        self.uv = np.array((u, v), dtype=float)
+        self.time = time
+
+    @classmethod
+    def stacked(cls, uv, time):
+        state = cls.__new__(cls)
+        state.uv, state.time = uv, time
+        return state
+
+    @property
+    def u(self):
+        return self.uv[0]
+
+    @property
+    def v(self):
+        return self.uv[1]
 
     def copy(self):
-        return GridState(self.u.copy(), self.v.copy(), self.time)
+        return GridState.stacked(self.uv.copy(), self.time)
 
     def is_finite(self):
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
+        return bool(np.isfinite(self.uv).all())
 
 
 @dataclass(frozen=True)
@@ -107,8 +144,9 @@ def _numeric_params(sys, bindings=None):
 
 
 def field_functions(sol, bindings):
-    """The exact family as callables u(t, x), v(t, x) over arrays of x,
-    evaluated by expr.eval_numeric with the parameters bound."""
+    """The exact family as callables u(t, x), v(t, x) over arrays of x: each
+    holds its expression compiled once by expr.compile_numeric, with the
+    parameters bound."""
     params = {ex.parameter(k) if isinstance(k, str) else k: float(v)
               for k, v in (bindings or {}).items()}
     for e in (sol.u_expr, sol.v_expr):
@@ -117,80 +155,125 @@ def field_functions(sol, bindings):
             raise SimulatorError(f"unbound parameters in exact solution: {free}")
 
     def evaluator(e):
+        fn = ex.compile_numeric(e)
+
         def evaluate(t, x):
-            val = ex.eval_numeric(e, {**params, T: t, X: np.asarray(x, dtype=float)})
-            return np.broadcast_to(val, np.shape(x)).copy()
+            out = np.empty(np.shape(x))
+            out[...] = fn({**params, T: t, X: np.asarray(x, dtype=float)})
+            return out
         return evaluate
 
     return evaluator(sol.u_expr), evaluator(sol.v_expr)
 
 
-def _ghost(arr, grid, bc, t, which, width=1):
-    """Pad with `width` ghost cells per side according to the boundary
-    condition (mirror for zero-neumann, wrap for periodic, exact sample for
-    dirichlet)."""
-    g = np.empty(arr.size + 2 * width)
-    g[width:-width] = arr
+# the parameter pairs (u equation, v equation) of the coefficient arrays:
+# P, Q = ((D0 + DU u) + DV v) (u, v) and the reaction A (u, v) - (B (u, v)) (u, v) - (C u) v
+_PAIRS = (("d1", "d2"), ("d11", "d21"), ("d12", "d22"),
+          ("a1", "a2"), ("b1", "c2"), ("c1", "b2"))
+
+
+@lru_cache(maxsize=64)
+def _coefficients(items, size):
+    """Each pair of _PAIRS, then max_diffusivity's (2 d11, d21), (d12, 2 d22)
+    and (d12, d21), as a (2, size) array: the u equation's value fills row 0
+    and the v equation's row 1.  Whole rows rather than (2, 1) columns,
+    because numpy is about twice as fast on same-shape operands at these
+    sizes.  Cached per parameter items and size; the arrays are shared and
+    read-only."""
+    c = dict(items)
+    pairs = [(c[a], c[b]) for a, b in _PAIRS] + [
+        (2 * c["d11"], c["d21"]), (c["d12"], 2 * c["d22"]), (c["d12"], c["d21"])]
+    out = []
+    for pair in pairs:
+        arr = np.repeat(np.array(pair, dtype=float)[:, None], size, axis=1)
+        arr.flags.writeable = False
+        out.append(arr)
+    return tuple(out)
+
+
+def _ghost(state, grid, bc, width):
+    """The state as one (2, n + 2 width) array: u and v padded with `width`
+    ghost cells per side according to the boundary condition (mirror for
+    zero-neumann, wrap for periodic, and for dirichlet the exact family,
+    evaluated once per field at the ghost cells of both sides)."""
+    n, w = grid.n, width
+    g = np.empty((2, n + 2 * w))
+    g[:, w:-w] = state.uv
     if bc.kind == ZERO_NEUMANN:
-        for k in range(width):
-            g[width - 1 - k] = arr[k]
-            g[arr.size + width + k] = arr[-1 - k]
+        g[:, :w] = g[:, 2 * w - 1:w - 1:-1]
+        g[:, -w:] = g[:, n + w - 1:n - 1:-1]
     elif bc.kind == PERIODIC:
-        g[:width] = arr[-width:]
-        g[-width:] = arr[:width]
+        g[:, :w] = g[:, n:n + w]
+        g[:, -w:] = g[:, w:2 * w]
     else:
         eval_u, eval_v = bc.fields
-        fn = eval_u if which == "u" else eval_v
-        xs_l = grid.x0 - (np.arange(width, 0, -1) - 0.5) * grid.h
-        xs_r = grid.x1 + (np.arange(1, width + 1) - 0.5) * grid.h
-        g[:width] = fn(t, xs_l)
-        g[-width:] = fn(t, xs_r)
+        xs = np.concatenate((grid.x0 - (np.arange(w, 0, -1) - 0.5) * grid.h,
+                             grid.x1 + (np.arange(1, w + 1) - 0.5) * grid.h))
+        cells = np.r_[0:w, n + w:n + 2 * w]
+        g[0, cells] = eval_u(state.time, xs)
+        g[1, cells] = eval_v(state.time, xs)
     return g
 
 
 def discretize_rhs(sys, grid, state, bc, params=None, first_order=False):
-    """du/dt, dv/dt arrays: second-difference of the composite fields
-    P = (d1 + d11 u + d12 v) u and Q = (d2 + d21 u + d22 v) v plus reaction
-    terms.  `first_order` swaps in a one-sided first-difference-of-first-
-    difference stencil (deliberately lower order, for negative controls)."""
+    """The one right-hand side: a (2, n) array whose rows are du/dt and
+    dv/dt (so `du, dv = discretize_rhs(...)` unpacks it).  Both rows are
+    formed at once: the second difference of the composite fields
+    P = (d1 + d11 u + d12 v) u and Q = (d2 + d21 u + d22 v) v over one ghost
+    buffer, plus the reaction terms, added in place.  `params` is the dict
+    of _numeric_params.  `first_order` swaps in a one-sided
+    first-difference-of-first-difference stencil (deliberately lower order,
+    for negative controls)."""
     c = params if params is not None else _numeric_params(sys)
-    u, v = state.u, state.v
+    key, n = tuple(c.items()), grid.n
     width = 2 if first_order else 1
-    ug = _ghost(u, grid, bc, state.time, "u", width)
-    vg = _ghost(v, grid, bc, state.time, "v", width)
-    P = (c["d1"] + c["d11"] * ug + c["d12"] * vg) * ug
-    Q = (c["d2"] + c["d21"] * ug + c["d22"] * vg) * vg
+    d0, du, dv = _coefficients(key, n + 2 * width)[:3]
+    growth, own, cross = _coefficients(key, n)[3:6]
+    g = _ghost(state, grid, bc, width)
+    ug, vg = g
+    F = du * ug
+    F += d0
+    F += dv * vg
+    F *= g
     h = grid.h
     if first_order:
         # negative control: face fluxes taken from cell-centered gradients,
         # which are offset from the faces by h/2 -> first-order accurate
-        def lap(F):
-            flux = (F[2:] - F[:-2]) / (2 * h)    # gradient at cell centers
-            return (flux[1:-1] - flux[:-2]) / h
+        flux = (F[:, 2:] - F[:, :-2]) / (2 * h)    # gradient at cell centers
+        out = (flux[:, 1:-1] - flux[:, :-2]) / h
     else:
-        def lap(F):
-            return (F[2:] - 2.0 * F[1:-1] + F[:-2]) / (h * h)
-    du = lap(P) + c["a1"] * u - c["b1"] * u * u - c["c1"] * u * v
-    dv = lap(Q) + c["a2"] * v - c["c2"] * v * v - c["b2"] * u * v
-    return du, dv
+        mid = F[:, 1:-1]
+        out = F[:, 2:] - (mid + mid)     # mid + mid == 2.0 * mid, exactly
+        out += F[:, :-2]
+        out /= h * h
+    uv = state.uv
+    out += growth * uv
+    out -= (own * uv) * uv
+    out -= (cross * uv[0]) * uv[1]
+    return out
 
 
 def max_diffusivity(c, u, v):
-    return max(
-        float(np.max(np.abs(c["d1"] + 2 * c["d11"] * u + c["d12"] * v))),
-        float(np.max(np.abs(c["d2"] + c["d21"] * u + 2 * c["d22"] * v))),
-        float(np.max(np.abs(c["d12"] * u))),
-        float(np.max(np.abs(c["d21"] * v))),
-    )
+    """The largest entry of |dP/du|, |dQ/dv|, |dP/dv| and |dQ/du| over the
+    cells, which bounds the explicit step."""
+    d0, *_, dmax_u, dmax_v, cross = _coefficients(tuple(c.items()), np.size(u))
+    own = np.abs((d0 + dmax_u * u) + dmax_v * v)
+    return float(max(own.max(), np.abs(cross * (u, v)).max()))
 
 
 @dataclass
 class Trajectory:
+    """The states a run kept, with how it went: the step count, the
+    smallest and largest step taken (None before the first step) and, for
+    an aborted run, the step and the reason."""
     grid: Grid1D
     states: list = field(default_factory=list)
     aborted: bool = False
     abort_step: int = -1
     steps: int = 0
+    dt_min: float = None
+    dt_max: float = None
+    abort_reason: str = ""
 
     @property
     def final(self):
@@ -211,50 +294,72 @@ class Trajectory:
 
 
 def run(sys, grid, init, bc, config, bindings=None):
-    """RK4 time stepping to t_end with an h^2-limited adaptive step.
-    `init` is a GridState or an (u array, v array) pair.  Aborts on NaN with
-    the last valid state retained."""
+    """RK4 time stepping to t_end with an h^2-limited adaptive step, the last
+    step clipped to t_end.  `init` is a GridState or an (u array, v array)
+    pair.  The state is one (2, n) array; each of the four stages is one
+    call of discretize_rhs, and the stage arguments and the update are
+    formed in place.  Every `output_stride`-th state and the final one are
+    kept; each wraps the array its step made, which nothing writes
+    afterwards.  The trajectory records the step count and the smallest and
+    largest step.  Aborts on a non-finite state, which is not kept, and
+    records its step and the reason."""
     c = _numeric_params(sys, bindings)
-    if isinstance(init, GridState):
-        state = init.copy()
-    else:
-        u0, v0 = init
-        state = GridState(np.array(u0, dtype=float), np.array(v0, dtype=float), 0.0)
-    if state.u.size != grid.n or state.v.size != grid.n:
+    u0, v0, t = ((init.u, init.v, init.time) if isinstance(init, GridState)
+                 else (*init, 0.0))
+    if np.size(u0) != grid.n or np.size(v0) != grid.n:
         raise SimulatorError("initial data does not match the grid")
-    if not state.is_finite():
+    uv = np.array((np.ravel(u0), np.ravel(v0)), dtype=float)
+    if not np.isfinite(uv).all():
         raise SimulatorError("initial data is not finite")
-    traj = Trajectory(grid=grid, states=[state.copy()])
+    traj = Trajectory(grid=grid, states=[GridState.stacked(uv, t)])
+    t_end, stride = config.t_end, config.output_stride
+    fo = config.first_order_stencil
+    stage = np.empty_like(uv)
     step = 0
-    while state.time < config.t_end - 1e-15:
-        dmax = max_diffusivity(c, state.u, state.v)
+    while t < t_end - 1e-15:
+        dmax = max_diffusivity(c, uv[0], uv[1])
         if dmax <= 0:
             dmax = 1.0
         dt = config.cfl_factor * grid.h ** 2 / dmax
-        dt = min(dt, config.t_end - state.time)
+        dt = min(dt, t_end - t)
         if dt < MIN_DT:
             raise SimulatorError(f"time step underflow: dt = {dt}")
+        traj.dt_min = dt if traj.dt_min is None else min(traj.dt_min, dt)
+        traj.dt_max = dt if traj.dt_max is None else max(traj.dt_max, dt)
 
-        def f(t, u, v):
-            return discretize_rhs(sys, grid, GridState(u, v, t), bc, params=c,
-                                  first_order=config.first_order_stencil)
-
-        t0, u0, v0 = state.time, state.u, state.v
-        k1u, k1v = f(t0, u0, v0)
-        k2u, k2v = f(t0 + dt / 2, u0 + dt / 2 * k1u, v0 + dt / 2 * k1v)
-        k3u, k3v = f(t0 + dt / 2, u0 + dt / 2 * k2u, v0 + dt / 2 * k2v)
-        k4u, k4v = f(t0 + dt, u0 + dt * k3u, v0 + dt * k3v)
-        state = GridState(
-            u0 + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
-            v0 + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v),
-            t0 + dt)
+        k1 = discretize_rhs(sys, grid, GridState.stacked(uv, t), bc,
+                            params=c, first_order=fo)
+        np.multiply(k1, dt / 2, out=stage)
+        stage += uv
+        k2 = discretize_rhs(sys, grid, GridState.stacked(stage, t + dt / 2),
+                            bc, params=c, first_order=fo)
+        np.multiply(k2, dt / 2, out=stage)
+        stage += uv
+        k3 = discretize_rhs(sys, grid, GridState.stacked(stage, t + dt / 2),
+                            bc, params=c, first_order=fo)
+        np.multiply(k3, dt, out=stage)
+        stage += uv
+        k4 = discretize_rhs(sys, grid, GridState.stacked(stage, t + dt),
+                            bc, params=c, first_order=fo)
+        # uv + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2; the
+        # doublings are additions, x + x == 2.0 * x exactly
+        k2 += k2
+        k2 += k1
+        k3 += k3
+        k2 += k3
+        k2 += k4
+        k2 *= dt / 6
+        k2 += uv
+        uv, t = k2, t + dt
         step += 1
-        if not state.is_finite():
+        if not np.isfinite(uv).all():
             traj.aborted = True
             traj.abort_step = step
+            traj.abort_reason = (f"non-finite state at step {step} "
+                                 f"(t = {t:.6g}, dt = {dt:.6g})")
             break
-        if step % config.output_stride == 0 or state.time >= config.t_end - 1e-15:
-            traj.states.append(state.copy())
+        if step % stride == 0 or t >= t_end - 1e-15:
+            traj.states.append(GridState.stacked(uv, t))
     traj.steps = step
     return traj
 
@@ -283,7 +388,8 @@ class ConvergenceResult:
 
 def convergence_study(sys, sol, sizes, t_end, bindings=None, x0=0.0, x1=math.pi,
                       bc_kind=ZERO_NEUMANN, cfl=0.2, first_order=False):
-    """L2-error ladder against the exact family over a list of grid sizes."""
+    """L2-error ladder against the exact family over a list of grid sizes.
+    Each run keeps only its initial and final state."""
     errors = []
     bindings = bindings or {}
     # the exact family is built once for the whole ladder
@@ -295,6 +401,7 @@ def convergence_study(sys, sol, sizes, t_end, bindings=None, x0=0.0, x1=math.pi,
         fields = field_functions(sol, bindings)
     eval_u, eval_v = fields
     config = SolverConfig(t_end=t_end, cfl_factor=cfl,
+                          output_stride=_ENDS_ONLY,
                           first_order_stencil=first_order)
     for n in sizes:
         grid = Grid1D(x0, x1, n)

@@ -238,6 +238,13 @@ class TestBadInputIsAUsageError:
         if argv[0] == "simulate":
             assert "bad [simulate] config" in err
 
+    @pytest.mark.parametrize("value", ["1/0", "nan", "oo", "-oo"])
+    def test_bind_value_that_is_not_finite(self, capsys, value):
+        code, _, err = run(capsys, "orbit", "--family", "family-trig",
+                           "--generator", "X2", "--bind", f"p={value}")
+        assert code == 2
+        assert err.splitlines() == [f"error: binding value {value!r} is not finite"]
+
     def test_catalog_option_only_where_the_catalog_is_loaded(self, capsys):
         code, _, err = run(capsys, "verify-solution", "--family", "3-5",
                            "--catalog", "x")

@@ -67,7 +67,71 @@ class TestDiscretizeRhs:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
 
 
+    @pytest.mark.parametrize("bc", [sim.ZERO_NEUMANN, sim.PERIODIC,
+                                    sim.EXACT_DIRICHLET])
+    @pytest.mark.parametrize("first_order", [False, True])
+    def test_one_stacked_array(self, bc, first_order):
+        trig = so.builtin_family("family-trig")
+        g = sim.Grid1D(0.0, math.pi, 16)
+        eval_u, eval_v = sim.field_functions(trig, TestConvergence.BINDS)
+        st = sim.GridState(eval_u(0.1, g.centers()), eval_v(0.1, g.centers()),
+                           0.1)
+        spec = sim.BCSpec(bc, family=trig, bindings=TestConvergence.BINDS)
+        rhs = sim.discretize_rhs(so.target_system(so.PLUS), g, st, spec,
+                                 first_order=first_order)
+        assert rhs.shape == (2, 16)
+        assert np.all(np.isfinite(rhs))
+
+
 class TestRun:
+    def test_four_rhs_calls_per_step(self, monkeypatch):
+        calls = []
+        rhs = sim.discretize_rhs
+        monkeypatch.setattr(sim, "discretize_rhs",
+                            lambda *a, **kw: calls.append(1) or rhs(*a, **kw))
+        g = sim.Grid1D(0.0, math.pi, 16)
+        xs = g.centers()
+        traj = sim.run(pure_diffusion(), g,
+                       (1.0 + 0.3 * np.cos(xs), 1.2 + 0.2 * np.cos(2 * xs)),
+                       sim.BCSpec(sim.ZERO_NEUMANN),
+                       sim.SolverConfig(t_end=0.05))
+        assert traj.steps > 1
+        assert len(calls) == 4 * traj.steps
+
+    def test_dt_range_and_last_step_clipped(self):
+        g = sim.Grid1D(0.0, math.pi, 16)
+        xs = g.centers()
+        init = (1.0 + 0.3 * np.cos(xs), 1.2 + 0.2 * np.cos(2 * xs))
+        bc = sim.BCSpec(sim.ZERO_NEUMANN)
+        traj = sim.run(pure_diffusion(), g, init, bc,
+                       sim.SolverConfig(t_end=0.05))
+        assert traj.steps > 1
+        assert traj.dt_min <= 0.05 / traj.steps <= traj.dt_max
+        assert traj.final.time == pytest.approx(0.05, abs=1e-15)
+        # a t_end below the first CFL step is reached in one clipped step
+        short = sim.run(pure_diffusion(), g, init, bc,
+                        sim.SolverConfig(t_end=traj.dt_max / 3))
+        assert short.steps == 1
+        assert short.dt_min == short.dt_max == traj.dt_max / 3
+        assert short.final.time == traj.dt_max / 3
+        still = sim.run(pure_diffusion(), g, init, bc,
+                        sim.SolverConfig(t_end=0.0))
+        assert still.dt_min is None and still.dt_max is None
+
+    def test_non_finite_run_names_its_step(self):
+        # u_t = u_xx + u^2 from u = 1e100 overflows within the first step
+        g = sim.Grid1D(0.0, math.pi, 16)
+        blowup = SKTSystem.make(d1="1", b1="-1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = sim.run(blowup, g, (np.full(16, 1e100), np.ones(16)),
+                           sim.BCSpec(sim.ZERO_NEUMANN),
+                           sim.SolverConfig(t_end=1.0))
+        assert traj.aborted
+        assert traj.abort_step == traj.steps == 1
+        assert "step 1 " in traj.abort_reason
+        assert len(traj.states) == 1
+        assert traj.final.is_finite()
+
     def test_zero_time_returns_initial_state(self):
         g = sim.Grid1D(0.0, math.pi, 16)
         u0 = np.linspace(1, 2, 16)
@@ -154,6 +218,16 @@ class TestConvergence:
                                     [32, 64], 0.05, bindings=self.BINDS,
                                     bc_kind=sim.EXACT_DIRICHLET)
         assert res.orders[0] == pytest.approx(2.0, abs=0.2)
+
+    def test_ladder_runs_keep_two_states(self, monkeypatch):
+        kept = []
+        run = sim.run
+        monkeypatch.setattr(sim, "run", lambda *a, **kw: (
+            lambda traj: kept.append(len(traj.states)) or traj)(run(*a, **kw)))
+        trig = so.builtin_family("family-trig")
+        sim.convergence_study(so.target_system(so.PLUS), trig, [16, 32], 0.01,
+                              bindings=self.BINDS)
+        assert kept == [2, 2]
 
     def test_dirichlet_run_compiles_family_once(self, monkeypatch):
         calls = []
