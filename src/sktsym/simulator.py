@@ -167,7 +167,8 @@ def field_functions(sol, bindings):
 
 
 # the parameter pairs (u equation, v equation) of the coefficient arrays:
-# P, Q = ((D0 + DU u) + DV v) (u, v) and the reaction A (u, v) - (B (u, v)) (u, v) - (C u) v
+# P, Q = ((D0 + DU u) + DV v) (u, v), and the reaction terms
+# A (u, v) - (B (u, v)) (u, v) - (C u) v
 _PAIRS = (("d1", "d2"), ("d11", "d21"), ("d12", "d22"),
           ("a1", "a2"), ("b1", "c2"), ("c1", "b2"))
 
@@ -271,8 +272,8 @@ class Trajectory:
     aborted: bool = False
     abort_step: int = -1
     steps: int = 0
-    dt_min: float = None
-    dt_max: float = None
+    dt_min: float | None = None
+    dt_max: float | None = None
     abort_reason: str = ""
 
     @property
@@ -315,7 +316,7 @@ def run(sys, grid, init, bc, config, bindings=None):
     t_end, stride = config.t_end, config.output_stride
     fo = config.first_order_stencil
     stage = np.empty_like(uv)
-    step = 0
+    step, dt_min, dt_max = 0, math.inf, 0.0
     while t < t_end - 1e-15:
         dmax = max_diffusivity(c, uv[0], uv[1])
         if dmax <= 0:
@@ -324,8 +325,7 @@ def run(sys, grid, init, bc, config, bindings=None):
         dt = min(dt, t_end - t)
         if dt < MIN_DT:
             raise SimulatorError(f"time step underflow: dt = {dt}")
-        traj.dt_min = dt if traj.dt_min is None else min(traj.dt_min, dt)
-        traj.dt_max = dt if traj.dt_max is None else max(traj.dt_max, dt)
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
 
         k1 = discretize_rhs(sys, grid, GridState.stacked(uv, t), bc,
                             params=c, first_order=fo)
@@ -361,6 +361,8 @@ def run(sys, grid, init, bc, config, bindings=None):
         if step % stride == 0 or t >= t_end - 1e-15:
             traj.states.append(GridState.stacked(uv, t))
     traj.steps = step
+    if step:
+        traj.dt_min, traj.dt_max = dt_min, dt_max
     return traj
 
 
