@@ -174,18 +174,21 @@ _PAIRS = (("d1", "d2"), ("d11", "d21"), ("d12", "d22"),
 
 
 @lru_cache(maxsize=64)
-def _coefficients(items, size):
+def _coefficients(items, n, width):
     """Each pair of _PAIRS, then max_diffusivity's (2 d11, d21), (d12, 2 d22)
-    and (d12, d21), as a (2, size) array: the u equation's value fills row 0
-    and the v equation's row 1.  Whole rows rather than (2, 1) columns,
-    because numpy is about twice as fast on same-shape operands at these
-    sizes.  Cached per parameter items and size; the arrays are shared and
-    read-only."""
+    and (d12, d21), as a two-row array: the u equation's value fills row 0
+    and the v equation's row 1.  The first three span the ghost buffer,
+    n + 2 width cells, and the rest the n cells.  Whole rows rather than
+    (2, 1) columns, because numpy is about twice as fast on same-shape
+    operands at these sizes.  Cached per parameter items, n and width; the
+    arrays are shared and read-only."""
     c = dict(items)
-    pairs = [(c[a], c[b]) for a, b in _PAIRS] + [
-        (2 * c["d11"], c["d21"]), (c["d12"], 2 * c["d22"]), (c["d12"], c["d21"])]
+    pairs = [(c[a], c[b]) for a, b in _PAIRS] + [(2 * c["d11"], c["d21"]),
+                                                 (c["d12"], 2 * c["d22"]),
+                                                 (c["d12"], c["d21"])]
     out = []
-    for pair in pairs:
+    for i, pair in enumerate(pairs):
+        size = n + 2 * width if i < 3 else n
         arr = np.repeat(np.array(pair, dtype=float)[:, None], size, axis=1)
         arr.flags.writeable = False
         out.append(arr)
@@ -226,15 +229,13 @@ def discretize_rhs(sys, grid, state, bc, params=None, first_order=False):
     first-difference-of-first-difference stencil (deliberately lower order,
     for negative controls)."""
     c = params if params is not None else _numeric_params(sys)
-    key, n = tuple(c.items()), grid.n
     width = 2 if first_order else 1
-    d0, du, dv = _coefficients(key, n + 2 * width)[:3]
-    growth, own, cross = _coefficients(key, n)[3:6]
+    d0, du, dv, growth, own, cross = _coefficients(
+        tuple(c.items()), grid.n, width)[:6]
     g = _ghost(state, grid, bc, width)
-    ug, vg = g
-    F = du * ug
+    F = du * g[0]
     F += d0
-    F += dv * vg
+    F += dv * g[1]
     F *= g
     h = grid.h
     if first_order:
@@ -257,7 +258,8 @@ def discretize_rhs(sys, grid, state, bc, params=None, first_order=False):
 def max_diffusivity(c, u, v):
     """The largest entry of |dP/du|, |dQ/dv|, |dP/dv| and |dQ/du| over the
     cells, which bounds the explicit step."""
-    d0, *_, dmax_u, dmax_v, cross = _coefficients(tuple(c.items()), np.size(u))
+    d0, *_, dmax_u, dmax_v, cross = _coefficients(tuple(c.items()),
+                                                  np.size(u), 0)
     own = np.abs((d0 + dmax_u * u) + dmax_v * v)
     return float(max(own.max(), np.abs(cross * (u, v)).max()))
 

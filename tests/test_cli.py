@@ -243,7 +243,8 @@ class TestBadInputIsAUsageError:
         code, _, err = run(capsys, "orbit", "--family", "family-trig",
                            "--generator", "X2", "--bind", f"p={value}")
         assert code == 2
-        assert err.splitlines() == [f"error: binding value {value!r} is not finite"]
+        assert err.splitlines() == [
+            f"error: binding value {value!r} is not finite"]
 
     def test_catalog_option_only_where_the_catalog_is_loaded(self, capsys):
         code, _, err = run(capsys, "verify-solution", "--family", "3-5",
