@@ -66,7 +66,6 @@ class TestDiscretizeRhs:
         # Richardson: halving h divides the error by about four
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
 
-
     @pytest.mark.parametrize("bc", [sim.ZERO_NEUMANN, sim.PERIODIC,
                                     sim.EXACT_DIRICHLET])
     @pytest.mark.parametrize("first_order", [False, True])
@@ -222,8 +221,13 @@ class TestConvergence:
     def test_ladder_runs_keep_two_states(self, monkeypatch):
         kept = []
         run = sim.run
-        monkeypatch.setattr(sim, "run", lambda *a, **kw: (
-            lambda traj: kept.append(len(traj.states)) or traj)(run(*a, **kw)))
+
+        def keep(*args, **kwargs):
+            traj = run(*args, **kwargs)
+            kept.append(len(traj.states))
+            return traj
+
+        monkeypatch.setattr(sim, "run", keep)
         trig = so.builtin_family("family-trig")
         sim.convergence_study(so.target_system(so.PLUS), trig, [16, 32], 0.01,
                               bindings=self.BINDS)
