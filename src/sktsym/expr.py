@@ -12,17 +12,19 @@ reduced by the atom relations
 with sqrt/sin factors rationalized out of denominators.  Exponentials need no
 relation: each becomes a monomial in generators exp(m/L), one per primitive
 direction m of its exponent, so exp(A)*exp(B) and exp(A+B), or exp(-A) and
-1/exp(A), are the same polynomial.  Each cancellation is one polynomial gcd
-with cofactors.  A literal division by zero (sympy's zoo or nan) raises
-ZeroDenominatorError in normalize and iszero, as a denominator that cancels
-to zero does.  sympy supplies the polynomial arithmetic underneath; this
-module owns the atom discipline, the grammar, the one zero test (iszero),
-the one jet-monomial splitter (collect_jet), which normalizes each
-coefficient but never the whole input, and the one numeric evaluator
-(eval_numeric), which the sample checks and the simulator share.  It
-translates an expression once into nested numpy closures (compile_numeric)
-and calls them; the simulator keeps the compiled exact fields for a whole
-ladder.
+1/exp(A), are the same polynomial.  The common denominator is _together:
+sympy's together, the same output down to its srepr, with the terms'
+factors in plain dicts instead of sympy's Factors.  Each cancellation is
+one polynomial gcd with cofactors.  A literal division by zero (sympy's zoo
+or nan) raises ZeroDenominatorError in normalize and iszero, as a
+denominator that cancels to zero does.  sympy supplies the polynomial
+arithmetic underneath; this module owns the atom discipline, the grammar,
+the one zero test (iszero), the one jet-monomial splitter (collect_jet),
+which normalizes each coefficient but never the whole input, and the one
+numeric evaluator (eval_numeric), which the sample checks and the simulator
+share.  It translates an expression once into nested numpy closures
+(compile_numeric) and calls them; the simulator keeps the compiled exact
+fields for a whole ladder.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 import sympy as sp
+from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
+from sympy.core.mul import _keep_coeff
 
 
 class ExprError(Exception):
@@ -370,13 +374,161 @@ def _cancel(n, d, table, assumptions):
     return sp.fraction(p.as_expr() / q.as_expr())
 
 
+# ---------------------------------------------------------------------------
+# common denominator: sympy's together without its Factors
+#
+# A term is (coeff, numer, denom), numer and denom dicts from base to
+# exponent, as sympy's exprtools.Term holds them.  Exponents are Python ints
+# except where Factors.gcd sympifies one into an Integer; the type is kept
+# because Factors.as_expr builds the power differently for each: exponent 2
+# on exp(x + 1) gives exp(2*x + 2) as an int, exp(2*(x + 1)) as an Integer.
+# Factors' tidying of the powers of -1 and I is left out: I enters a
+# numerator at most to the first power (I**2 is -1) and no denominator
+# (1/I is -I), so the tidying would change nothing.
+
+def _fmul(a, b):
+    """a times b (Factors.mul)."""
+    out = dict(a)
+    for base, k in b.items():
+        if base in out:
+            k = out[base] + k
+            if not k:
+                del out[base]
+                continue
+        out[base] = k
+    return out
+
+
+def _fnormal(a, b):
+    """a and b with their common factors removed (Factors.normal)."""
+    sa, sb = dict(a), dict(b)
+    for base, k in a.items():
+        if base not in b:
+            continue
+        k = k - b[base]
+        if not k:
+            del sa[base], sb[base]
+        elif k > 0:
+            sa[base] = k
+            del sb[base]
+        else:
+            del sa[base]
+            sb[base] = -k
+    return sa, sb
+
+
+def _fgcd(a, b):
+    """The common factors of a and b (Factors.gcd)."""
+    return {base: sp.Integer(k) if k < b[base] else b[base]
+            for base, k in a.items() if base in b}
+
+
+def _flcm(a, b):
+    """The least common multiple of a and b (Factors.lcm)."""
+    out = dict(a)
+    for base, k in b.items():
+        out[base] = max(k, out[base]) if base in out else k
+    return out
+
+
+def _fquo(a, b):
+    """a over b, the numerator (Factors.quo)."""
+    out = dict(a)
+    for base, k in b.items():
+        if base in out:
+            k = out[base] - k
+            if k > 0:
+                out[base] = k
+            else:
+                del out[base]
+    return out
+
+
+def _fexpr(f):
+    """f as a product (Factors.as_expr)."""
+    args = []
+    for base, k in f.items():
+        if k == 1:
+            args.append(base)
+        elif isinstance(k, sp.Integer):
+            b, e = base.as_base_exp()
+            args.append(b ** _keep_coeff(k, e))
+        else:
+            args.append(base ** k)
+    return sp.Mul(*args)
+
+
+def _term(t):
+    """Term(t): the content of an Add base joins the coefficient."""
+    if not t.is_commutative:
+        raise ExprError(f"non-commutative term: {t}")
+    coeff, factors = t.as_coeff_mul()
+    numer, denom = {}, {}
+    for factor in factors:
+        base, k = decompose_power(factor)
+        if base.is_Add:
+            cont, base = base.primitive()
+            coeff *= cont ** k
+        if k > 0:
+            numer[base] = numer.get(base, 0) + k
+        else:
+            denom[base] = denom.get(base, 0) - k
+    return coeff, numer, denom
+
+
+def _gcd_terms(terms):
+    """gcd_terms(terms) with clear=True and fraction=True: the terms over
+    their common denominator, with their common factor pulled out."""
+    terms = [_term(t) for t in terms if t]
+    if not terms:
+        return sp.S.Zero
+    if len(terms) == 1:
+        cont, numer, denom = (terms[0][0], _fexpr(terms[0][1]),
+                              _fexpr(terms[0][2]))
+    else:
+        cc, cn, cd = terms[0]
+        for c, n, d in terms[1:]:
+            cc, cn, cd = cc.gcd(c), _fgcd(cn, n), _fgcd(cd, d)
+        inv = 1 / cc
+        terms = [(c * inv, *_fnormal(_fmul(n, cd), _fmul(d, cn)))
+                 for c, n, d in terms]
+        denom = terms[0][2]
+        for _, _, d in terms[1:]:
+            denom = _flcm(denom, d)
+        numer = sp.Add(*[c * _fexpr(_fmul(n, _fquo(denom, d)))
+                         for c, n, d in terms])
+        cont = cc * (_fexpr(cn) / _fexpr(cd))
+        denom = _fexpr(denom)
+    if numer.is_Add:
+        content, numer = numer.primitive()
+        cont *= content
+    coeff, factors = cont.as_coeff_Mul()
+    return _keep_coeff(coeff, factors * numer / denom)
+
+
+def _together(e):
+    """sympy's together(e), deep=False and fraction=True, down to its srepr:
+    the same algorithm with the terms' factors in plain dicts instead of
+    sympy's Factors.  `e` is a sympy expression; a non-commutative term
+    raises ExprError."""
+    if e.is_Atom or e.is_Function:
+        return e
+    if e.is_Add:
+        return _gcd_terms([_together(a) for a in e.args])
+    if e.is_Pow:
+        return e.func(_together(e.base), e.exp)
+    return e.func(*[_together(a) for a in e.args])
+
+
 def _canon_core(e, assumptions):
     """The full canonicalization pipeline on a raw sympy expression: expand,
     replace atoms by generators (which merges exponentials, _replace_atoms),
-    cancel, reduce by the relations and rationalize the denominator.  Each
-    cancellation is one gcd with cofactors (_cancel); the second runs only
-    when there are sqrt/sin generators, whose relations and conjugates can
-    reintroduce a common factor."""
+    bring it over one common denominator (_together, sympy's together
+    without its Factors), cancel, reduce by the relations and
+    rationalize the denominator.  Each cancellation is one gcd with
+    cofactors (_cancel); the second runs only when there are sqrt/sin
+    generators, whose relations and conjugates can reintroduce a common
+    factor."""
     if e.is_Number:
         return e
 
@@ -389,7 +541,7 @@ def _canon_core(e, assumptions):
     table = _AtomTable()
     e = _replace_atoms(e, table, canon)
 
-    n, d = _cancel(*sp.fraction(sp.together(e)), table, assumptions)
+    n, d = _cancel(*sp.fraction(_together(e)), table, assumptions)
     n = _reduce_relations(n, table)
     d = _reduce_relations(d, table)
     if d == 0 or sp.expand(d) == 0:
@@ -529,8 +681,9 @@ def iszero(e, assumptions=None):
     (denominators and radicands assumed nonzero).  No canonical form is
     built and nothing is expanded first: atoms become generators (the same
     _replace_atoms as normalize(), so exponentials merge as monomials), the
-    expression is brought over one common denominator, and only the
-    numerator is reduced by the relations that normalize() uses.
+    expression is brought over one common denominator (_together, sympy's
+    together without its Factors), and only the numerator is reduced by the
+    relations that normalize() uses.
     `assumptions` is an output set, as in _canon_core: when e vanishes, its
     common denominator is added to it unless that is a number.  The verdict
     does not depend on it.  Raises ZeroDenominatorError, as normalize()
@@ -547,7 +700,7 @@ def iszero(e, assumptions=None):
 
     table = _AtomTable(_ISZERO_GENERATORS)
     sym = _replace_atoms(sym, table, canon)
-    n, d = sp.fraction(sp.together(sym))
+    n, d = sp.fraction(_together(sym))
     # _reduce_relations leaves an expanded polynomial: zero only when it is 0
     if _reduce_relations(n, table) != 0:
         return False

@@ -476,7 +476,7 @@ def golden_compare():
             # the only derivative in s
             if s.atoms(sp.Derivative) != {target}:
                 continue
-            quo = sp.cancel(sp.together(s / target))
+            quo = sp.cancel(ex._together(s / target))
             if not quo.atoms(sp.Derivative) and quo != 0:
                 found = quo
                 break

@@ -404,7 +404,7 @@ def reduce_ansatz(sys, Xf):
         resids.append(sp.expand(d(main, T) - rhs))
     odes = []
     for r in resids:
-        n, _ = sp.fraction(sp.together(r))
+        n, _ = sp.fraction(ex._together(r))
         poly = sp.Poly(sp.expand(n), w)
         parts = {0: sp.Integer(0), 1: sp.Integer(0)}
         for (k,), coeff in poly.terms():
@@ -414,7 +414,7 @@ def reduce_ansatz(sys, Xf):
             if c == 0:
                 continue
             c = _strip_content(c)
-            if not any(sp.cancel(sp.together(c / o)).is_Number for o in odes):
+            if not any(sp.cancel(ex._together(c / o)).is_Number for o in odes):
                 odes.append(c)
     odes.sort(key=sp.count_ops)
     beta = ex.parameter("beta")

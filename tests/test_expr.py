@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sktsym import expr as ex
+from sktsym.catalog import Catalog
 from sktsym.expr import T, U, V, X
 
 
@@ -507,3 +508,96 @@ class TestTrigArguments:
         assert ex.iszero(e)
         assert ex.normalize(e).is_zero
         assert not ex.iszero(e + sp.cos((T - 1) * sp.exp(-1)))
+
+
+def _same_as_together(e):
+    return sp.srepr(ex._together(e)) == sp.srepr(sp.together(e))
+
+
+_C = ex.parameter("c")
+_TOGETHER_BASES = (T, X, U, V, _A, _C, _W, sp.I, U - V,
+                   2 * U - 2 * V,                  # content 2
+                   U ** 2 - 2 * U * V + V ** 2,
+                   1 / (1 + 1 / X),                # nested
+                   sp.I * U + V)
+
+
+@st.composite
+def _together_sums(draw):
+    """A sum of 1-8 terms: a rational, negative or Float coefficient times
+    powers in [-3, 3] of symbols, a generator, I and sums."""
+    coeff = st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).map(
+            lambda c: sp.Rational(c.numerator, c.denominator)),
+        st.sampled_from((0.5, -1.25, 3.0, -0.1)).map(sp.Float))
+    factor = st.tuples(st.sampled_from(_TOGETHER_BASES), st.integers(-3, 3))
+    return sp.Add(*[draw(coeff) * sp.Mul(*[b ** k for b, k in draw(
+                        st.lists(factor, max_size=4))])
+                    for _ in range(draw(st.integers(1, 8)))])
+
+
+class TestTogether:
+    """_together is sympy's together, down to the srepr of its output."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_together_sums())
+    def test_same_srepr_as_together(self, e):
+        assert _same_as_together(e)
+
+    @pytest.mark.parametrize("e", [
+        3 * U ** 2 / (U - V),                      # a single term
+        X, sp.Integer(0), sp.Float(2.5),           # atoms
+        U * V * (U - V) ** 2,                      # no denominator
+        X / 2 + T / 3,                             # rational content only
+        U / (2 * U - 2 * V) ** 2 - V / (U - V) ** 3,
+        sp.I * X + 1 / X,                          # I, left untidied
+        sp.I * X * (1 / T + 1 / U),
+        sp.exp(X + 1) * T + sp.exp(-2 * X - 2) / T,
+        # Factors.gcd makes an Integer exponent, which Factors.as_expr
+        # writes as b**(k*e) unevaluated
+        sp.exp(sp.Mul(3, X + 1, evaluate=False))
+        + sp.exp(sp.Mul(2, X + 1, evaluate=False)) + 1,
+        sp.Pow(X, sp.Mul(2, T + 1, evaluate=False), evaluate=False) * U
+        + sp.Pow(X, sp.Mul(3, T + 1, evaluate=False), evaluate=False),
+    ])
+    def test_fixed_cases(self, e):
+        assert _same_as_together(e)
+
+    def test_non_commutative_term_raises(self):
+        a, b = sp.symbols("p q", commutative=False)
+        with pytest.raises(ex.ExprError):
+            ex._together(a * b + 1 / X)
+
+    def test_every_kernel_call_on_catalog_entries(self, monkeypatch):
+        calls, depth = [], []
+        kernel = ex._together
+
+        def spy(e):
+            # _together recurses through the module: record the outer calls
+            depth.append(e)
+            try:
+                out = kernel(e)
+            finally:
+                depth.pop()
+            if not depth:
+                calls.append((e, out))
+            return out
+
+        monkeypatch.setattr(ex, "_together", spy)
+        cat = Catalog.load()
+        cat.validate_all(keys=[(2, 3), (2, 4)])
+        cat.validate_all(keys=[(2, 4)], mutate={(2, 4): {"c1": "1"}})
+        assert len(calls) > 100
+        assert all(sp.srepr(out) == sp.srepr(sp.together(e))
+                   for e, out in calls)
+
+    def test_kernel_never_calls_together(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("together called")
+
+        monkeypatch.setattr(ex.sp, "together", refuse)
+        e = U / (U - V) + sp.exp(X) / (2 * U - 2 * V) - sp.sin(X) ** 2
+        assert ex.normalize(e).sym == ex.normalize(sp.expand(e)).sym
+        pythagoras = sp.sin(X) ** 2 + sp.cos(X) ** 2 - 1
+        assert ex.iszero(e - sp.expand(e) + pythagoras)
+        assert not ex.iszero(e)
