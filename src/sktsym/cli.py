@@ -276,6 +276,8 @@ def _cmd_flux_check(args):
 
 
 def _cmd_simulate(args):
+    """The trajectory as CSV, and one stderr line on how the run went: the
+    step count and the smallest and largest step, or the abort reason."""
     cp = configparser.ConfigParser()
     with open(args.config) as fh:
         cp.read_file(fh)
@@ -308,7 +310,11 @@ def _cmd_simulate(args):
     traj = sim.run(system, grid, (eval_u(0.0, xs), eval_v(0.0, xs)), bc,
                    config, bindings=bindings)
     if traj.aborted:
-        sys.stderr.write(f"aborted at step {traj.abort_step}\n")
+        sys.stderr.write(f"aborted: {traj.abort_reason}\n")
+    else:
+        dts = (f", dt min {traj.dt_min:.6g} max {traj.dt_max:.6g}"
+               if traj.steps else "")
+        sys.stderr.write(f"{traj.steps} steps{dts}\n")
     return not traj.aborted, traj.to_csv().rstrip("\n").split("\n")
 
 

@@ -305,7 +305,8 @@ def run(sys, grid, init, bc, config, bindings=None):
     kept; each wraps the array its step made, which nothing writes
     afterwards.  The trajectory records the step count and the smallest and
     largest step.  Aborts on a non-finite state, which is not kept, and
-    records its step and the reason."""
+    records its step and the reason; the steps run under np.errstate, so an
+    overflow gives no numpy warning."""
     c = _numeric_params(sys, bindings)
     u0, v0, t = ((init.u, init.v, init.time) if isinstance(init, GridState)
                  else (*init, 0.0))
@@ -319,49 +320,54 @@ def run(sys, grid, init, bc, config, bindings=None):
     fo = config.first_order_stencil
     stage = np.empty_like(uv)
     step, dt_min, dt_max = 0, math.inf, 0.0
-    while t < t_end - 1e-15:
-        dmax = max_diffusivity(c, uv[0], uv[1])
-        if dmax <= 0:
-            dmax = 1.0
-        dt = config.cfl_factor * grid.h ** 2 / dmax
-        dt = min(dt, t_end - t)
-        if dt < MIN_DT:
-            raise SimulatorError(f"time step underflow: dt = {dt}")
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+    # an overflow shows as a non-finite state, which aborts the run with
+    # its reason; numpy need not warn about it as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end - 1e-15:
+            dmax = max_diffusivity(c, uv[0], uv[1])
+            if dmax <= 0:
+                dmax = 1.0
+            dt = config.cfl_factor * grid.h ** 2 / dmax
+            dt = min(dt, t_end - t)
+            if dt < MIN_DT:
+                raise SimulatorError(f"time step underflow: dt = {dt}")
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
 
-        k1 = discretize_rhs(sys, grid, GridState.stacked(uv, t), bc,
-                            params=c, first_order=fo)
-        np.multiply(k1, dt / 2, out=stage)
-        stage += uv
-        k2 = discretize_rhs(sys, grid, GridState.stacked(stage, t + dt / 2),
-                            bc, params=c, first_order=fo)
-        np.multiply(k2, dt / 2, out=stage)
-        stage += uv
-        k3 = discretize_rhs(sys, grid, GridState.stacked(stage, t + dt / 2),
-                            bc, params=c, first_order=fo)
-        np.multiply(k3, dt, out=stage)
-        stage += uv
-        k4 = discretize_rhs(sys, grid, GridState.stacked(stage, t + dt),
-                            bc, params=c, first_order=fo)
-        # uv + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2; the
-        # doublings are additions, x + x == 2.0 * x exactly
-        k2 += k2
-        k2 += k1
-        k3 += k3
-        k2 += k3
-        k2 += k4
-        k2 *= dt / 6
-        k2 += uv
-        uv, t = k2, t + dt
-        step += 1
-        if not np.isfinite(uv).all():
-            traj.aborted = True
-            traj.abort_step = step
-            traj.abort_reason = (f"non-finite state at step {step} "
-                                 f"(t = {t:.6g}, dt = {dt:.6g})")
-            break
-        if step % stride == 0 or t >= t_end - 1e-15:
-            traj.states.append(GridState.stacked(uv, t))
+            k1 = discretize_rhs(sys, grid, GridState.stacked(uv, t), bc,
+                                params=c, first_order=fo)
+            np.multiply(k1, dt / 2, out=stage)
+            stage += uv
+            k2 = discretize_rhs(sys, grid,
+                                GridState.stacked(stage, t + dt / 2), bc,
+                                params=c, first_order=fo)
+            np.multiply(k2, dt / 2, out=stage)
+            stage += uv
+            k3 = discretize_rhs(sys, grid,
+                                GridState.stacked(stage, t + dt / 2), bc,
+                                params=c, first_order=fo)
+            np.multiply(k3, dt, out=stage)
+            stage += uv
+            k4 = discretize_rhs(sys, grid, GridState.stacked(stage, t + dt),
+                                bc, params=c, first_order=fo)
+            # uv + dt/6 * (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2; the
+            # doublings are additions, x + x == 2.0 * x exactly
+            k2 += k2
+            k2 += k1
+            k3 += k3
+            k2 += k3
+            k2 += k4
+            k2 *= dt / 6
+            k2 += uv
+            uv, t = k2, t + dt
+            step += 1
+            if not np.isfinite(uv).all():
+                traj.aborted = True
+                traj.abort_step = step
+                traj.abort_reason = (f"non-finite state at step {step} "
+                                     f"(t = {t:.6g}, dt = {dt:.6g})")
+                break
+            if step % stride == 0 or t >= t_end - 1e-15:
+                traj.states.append(GridState.stacked(uv, t))
     traj.steps = step
     if step:
         traj.dt_min, traj.dt_max = dt_min, dt_max

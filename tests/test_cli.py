@@ -1,6 +1,11 @@
+import re
+
+import numpy as np
 import pytest
 
 from sktsym import cli
+from sktsym import simulator as sim
+from sktsym.invariance import SKTSystem
 
 
 def run(capsys, *argv):
@@ -181,6 +186,36 @@ class TestOtherSubcommands:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "t,x,u,v"
         assert len(lines) > 16
+
+    def test_simulate_reports_steps_and_dt_range(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SIMULATE_BASE)
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 0
+        assert out.startswith("t,x,u,v\n")
+        m = re.fullmatch(r"(\d+) steps, dt min (\S+) max (\S+)\n", err)
+        assert m and int(m[1]) > 0
+        assert 0 < float(m[2]) <= float(m[3])
+
+    def test_simulate_reports_the_abort_reason(self, capsys, tmp_path,
+                                               monkeypatch):
+        # the run from the config, with u_t = u_xx + u^2 from u = 1e100
+        # stepped instead: it overflows in its first step
+        real_run = sim.run
+
+        def overflowing(system, grid, init, bc, config, bindings=None):
+            return real_run(SKTSystem.make(d1="1", b1="-1"), grid,
+                            (np.full(grid.n, 1e100), np.ones(grid.n)), bc,
+                            config)
+
+        monkeypatch.setattr(cli.sim, "run", overflowing)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SIMULATE_BASE)
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert out.startswith("t,x,u,v\n")
+        assert re.fullmatch(r"aborted: non-finite state at step 1 "
+                            r"\(t = \S+, dt = \S+\)\n", err)
 
     def test_convergence_small(self, capsys):
         code, out, _ = run(capsys, "convergence", "--family", "3-7",

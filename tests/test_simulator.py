@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,10 +119,12 @@ class TestRun:
         assert still.dt_min is None and still.dt_max is None
 
     def test_non_finite_run_names_its_step(self):
-        # u_t = u_xx + u^2 from u = 1e100 overflows within the first step
+        # u_t = u_xx + u^2 from u = 1e100 overflows within the first step;
+        # the abort reason says so, and numpy does not warn as well
         g = sim.Grid1D(0.0, math.pi, 16)
         blowup = SKTSystem.make(d1="1", b1="-1")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             traj = sim.run(blowup, g, (np.full(16, 1e100), np.ones(16)),
                            sim.BCSpec(sim.ZERO_NEUMANN),
                            sim.SolverConfig(t_end=1.0))
