@@ -301,11 +301,10 @@ def _cmd_simulate(args):
         sol = so.builtin_family(init)
         system = (so.target_system(sec["system"]) if sec.get("system")
                   else sol.system())
-        bc = (sim.BCSpec(bc_kind, family=sol, bindings=bindings)
-              if bc_kind == sim.EXACT_DIRICHLET else sim.BCSpec(bc_kind))
+        bc = sim.BCSpec(bc_kind, family=sol, bindings=bindings)
     except (ValueError, TypeError, sim.SimulatorError, so.SolutionError) as exc:
         raise UsageError(f"bad [simulate] config: {exc}")
-    eval_u, eval_v = sim.field_functions(sol, bindings)
+    eval_u, eval_v = bc.fields
     xs = grid.centers()
     traj = sim.run(system, grid, (eval_u(0.0, xs), eval_v(0.0, xs)), bc,
                    config, bindings=bindings)

@@ -21,10 +21,10 @@ denominator that cancels to zero does.  sympy supplies the polynomial
 arithmetic underneath; this module owns the atom discipline, the grammar,
 the one zero test (iszero), the one jet-monomial splitter (collect_jet),
 which normalizes each coefficient but never the whole input, and the one
-numeric evaluator (eval_numeric), which the sample checks and the simulator
-share.  It translates an expression once into nested numpy closures
-(compile_numeric) and calls them; the simulator keeps the compiled exact
-fields for a whole ladder.
+numeric evaluator (eval_numeric), shared by the sample checks, the
+simulator and the residual oracle.  It translates an expression once into
+nested closures (compile_numeric), in numpy double precision or, for mpmath
+bindings, in mpmath at the working precision, and calls them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import sympy as sp
 from sympy.core.exprtools import decompose_power
@@ -939,7 +940,7 @@ def _jet_index(s):
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-_NUMERIC_HEADS = {sp.exp: np.exp, sp.sin: np.sin, sp.cos: np.cos}
+_NUMERIC_HEADS = {sp.exp: "exp", sp.sin: "sin", sp.cos: "cos"}
 
 
 def _least(val):
@@ -947,12 +948,13 @@ def _least(val):
     return val.min() if isinstance(val, np.ndarray) else val
 
 
-def _translate(node, guard):
-    """`node` as nested closures over an environment {Symbol: float or
-    array}.  Sums fold from 0 and products from 1.0, left to right over the
+def _translate(node, guard, prec):
+    """`node` as nested closures over an environment {Symbol: value}, in
+    numpy (prec None) or in mpmath with constants rounded to `prec` bits.
+    Sums fold from 0 and products from 1.0, left to right over the
     arguments, and the guards are tested when the closure is called."""
     if node.is_Number or node.is_NumberSymbol:
-        const = float(node)
+        const = float(node) if prec is None else node._to_mpmath(prec)
         return lambda env: const
     if node.is_Symbol:
         def symbol(env):
@@ -962,7 +964,7 @@ def _translate(node, guard):
                 raise UnboundSymbolError(f"unbound symbol {node}")
         return symbol
     if node.is_Add:
-        terms = tuple(_translate(a, guard) for a in node.args)
+        terms = tuple(_translate(a, guard, prec) for a in node.args)
 
         def add(env):
             out = 0
@@ -971,7 +973,7 @@ def _translate(node, guard):
             return out
         return add
     if node.is_Mul:
-        factors = tuple(_translate(a, guard) for a in node.args)
+        factors = tuple(_translate(a, guard, prec) for a in node.args)
 
         def mul(env):
             out = 1.0
@@ -980,7 +982,7 @@ def _translate(node, guard):
             return out
         return mul
     if node.is_Pow:
-        base, expo = _translate(node.base, guard), node.exp
+        base, expo = _translate(node.base, guard, prec), node.exp
         if expo.is_Integer:
             k = int(expo)
             if k >= 0:
@@ -993,7 +995,7 @@ def _translate(node, guard):
                 return b ** k
             return reciprocal
         if expo.is_Rational and expo.q == 2:
-            half = float(expo)
+            half = float(expo)   # k/2, exact in both
 
             def root(env):
                 b = base(env)
@@ -1001,10 +1003,11 @@ def _translate(node, guard):
                     raise GuardViolation("sqrt radicand below guard", node.base)
                 return b ** half
             return root
-        power = _translate(expo, guard)
+        power = _translate(expo, guard, prec)
         return lambda env: base(env) ** power(env)
     if node.func in _NUMERIC_HEADS:
-        head, arg = _NUMERIC_HEADS[node.func], _translate(node.args[0], guard)
+        head = getattr(mpmath if prec else np, _NUMERIC_HEADS[node.func])
+        arg = _translate(node.args[0], guard, prec)
         return lambda env: head(arg(env))
 
     def unknown(env):
@@ -1014,32 +1017,43 @@ def _translate(node, guard):
 
 @functools.lru_cache(maxsize=256)
 def _compiled(sym, guard):
-    return _translate(sym, guard)
+    return _translate(sym, guard, None)
+
+
+def _as_float(val):
+    return val if isinstance(val, np.ndarray) else float(val)
 
 
 def compile_numeric(e, guard=1e-12):
-    """The numeric evaluator, compiled: the tree of `e` is translated once
-    into nested numpy closures (cached per expression and guard), and the
-    returned function evaluates them at a bindings dict, as eval_numeric
-    does."""
-    run = _compiled(e.sym if isinstance(e, Expression) else sp.sympify(e),
-                    guard)
+    """The numeric evaluator, compiled: the returned function evaluates `e`
+    at a bindings dict as eval_numeric does, through nested closures
+    translated once (in numpy, cached per expression and guard; in mpmath,
+    kept by the function per working precision)."""
+    sym = e.sym if isinstance(e, Expression) else sp.sympify(e)
+    precise = {}   # working precision -> the mpmath closures
 
     def evaluate(bindings):
+        if any(isinstance(val, mpmath.mpf) for val in bindings.values()):
+            prec = mpmath.mp.prec
+            if prec not in precise:
+                precise[prec] = _translate(sym, guard, prec)
+            run, convert = precise[prec], mpmath.mpf
+        else:
+            run, convert = _compiled(sym, guard), _as_float
         env = {}
         for k, val in bindings.items():
             if isinstance(k, str):
                 k = known_symbols()[k]
-            env[k] = val if isinstance(val, np.ndarray) else float(val)
-        out = run(env)
-        return out if isinstance(out, np.ndarray) else float(out)
+            env[k] = convert(val)
+        return convert(run(env))
     return evaluate
 
 
 def eval_numeric(e, bindings, guard=1e-12):
-    """The numeric evaluator: double precision, with guards on denominators
-    and sqrt radicands.  Every free symbol must be bound (by symbol or
-    name).  Array values broadcast and a guard trips on any element; scalar
-    bindings give a float.  The expression is compiled once by
-    compile_numeric; a guard or an unbound symbol raises when evaluated."""
+    """The numeric evaluator, with guards on denominators and sqrt
+    radicands.  Every free symbol must be bound (by symbol or name).  With
+    an mpf among the bindings it evaluates at mpmath's working precision
+    and gives an mpf; otherwise in double precision, where array values
+    broadcast, a guard trips on any element and scalars give a float.  A
+    guard or an unbound symbol raises when evaluated."""
     return compile_numeric(e, guard)(bindings)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import sympy as sp
 
 from . import expr as ex
 from .expr import T, U, V, X
@@ -88,9 +87,6 @@ class GridState:
     def v(self):
         return self.uv[1]
 
-    def copy(self):
-        return GridState.stacked(self.uv.copy(), self.time)
-
     def is_finite(self):
         return bool(np.isfinite(self.uv).all())
 
@@ -128,16 +124,14 @@ class SolverConfig:
 
 
 def _numeric_params(sys, bindings=None):
+    """The system's parameters as floats, by expr.eval_numeric."""
+    env = {ex.parameter(name) if isinstance(name, str) else name: val
+           for name, val in (bindings or {}).items()}
     vals = {}
-    bindings = bindings or {}
     for k, e in sys.params().items():
-        s = e.sym
-        if bindings:
-            s = s.xreplace({ex.parameter(name) if isinstance(name, str) else name:
-                            sp.Float(val) for name, val in bindings.items()})
         try:
-            vals[k] = float(s)
-        except TypeError:
+            vals[k] = ex.eval_numeric(e, env)
+        except ex.UnboundSymbolError:
             raise SimulatorError(f"parameter {k} = {e.sym} is not numeric; "
                                  "supply bindings")
     return vals
@@ -298,8 +292,8 @@ class Trajectory:
 
 def run(sys, grid, init, bc, config, bindings=None):
     """RK4 time stepping to t_end with an h^2-limited adaptive step, the last
-    step clipped to t_end.  `init` is a GridState or an (u array, v array)
-    pair.  The state is one (2, n) array; each of the four stages is one
+    step clipped to t_end, from `init`, an (u array, v array) pair at
+    t = 0.  The state is one (2, n) array; each of the four stages is one
     call of discretize_rhs, and the stage arguments and the update are
     formed in place.  Every `output_stride`-th state and the final one are
     kept; each wraps the array its step made, which nothing writes
@@ -308,8 +302,7 @@ def run(sys, grid, init, bc, config, bindings=None):
     records its step and the reason; the steps run under np.errstate, so an
     overflow gives no numpy warning."""
     c = _numeric_params(sys, bindings)
-    u0, v0, t = ((init.u, init.v, init.time) if isinstance(init, GridState)
-                 else (*init, 0.0))
+    (u0, v0), t = init, 0.0
     if np.size(u0) != grid.n or np.size(v0) != grid.n:
         raise SimulatorError("initial data does not match the grid")
     uv = np.array((np.ravel(u0), np.ravel(v0)), dtype=float)
@@ -374,10 +367,10 @@ def run(sys, grid, init, bc, config, bindings=None):
     return traj
 
 
-def exact_error(traj, sol, bindings, index=-1, fields=None):
-    """Relative L2 error of a trajectory state against the exact family.
+def exact_error(traj, sol, bindings, fields=None):
+    """Relative L2 error of the final state against the exact family.
     `fields` is the family already built by field_functions, if at hand."""
-    s = traj.states[index]
+    s = traj.final
     eval_u, eval_v = fields or field_functions(sol, bindings)
     xs = traj.grid.centers()
     ue = eval_u(s.time, xs)
@@ -396,31 +389,24 @@ class ConvergenceResult:
     orders: tuple            # log2(e(n) / e(2n)) between consecutive sizes
 
 
-def convergence_study(sys, sol, sizes, t_end, bindings=None, x0=0.0, x1=math.pi,
-                      bc_kind=ZERO_NEUMANN, cfl=0.2, first_order=False):
-    """L2-error ladder against the exact family over a list of grid sizes.
-    Each run keeps only its initial and final state."""
+def convergence_study(sys, sol, sizes, t_end, bindings=None,
+                      bc_kind=ZERO_NEUMANN, first_order=False):
+    """L2-error ladder on (0, pi) against the exact family over a list of
+    grid sizes.  Each run keeps only its initial and final state."""
     errors = []
-    bindings = bindings or {}
     # the exact family is built once for the whole ladder
-    if bc_kind == EXACT_DIRICHLET:
-        bc = BCSpec(bc_kind, family=sol, bindings=bindings)
-        fields = bc.fields
-    else:
-        bc = BCSpec(bc_kind)
-        fields = field_functions(sol, bindings)
-    eval_u, eval_v = fields
-    config = SolverConfig(t_end=t_end, cfl_factor=cfl,
-                          output_stride=_ENDS_ONLY,
+    bc = BCSpec(bc_kind, family=sol, bindings=bindings)
+    eval_u, eval_v = bc.fields
+    config = SolverConfig(t_end=t_end, output_stride=_ENDS_ONLY,
                           first_order_stencil=first_order)
     for n in sizes:
-        grid = Grid1D(x0, x1, n)
+        grid = Grid1D(0.0, math.pi, n)
         xs = grid.centers()
         init = (eval_u(0.0, xs), eval_v(0.0, xs))
         traj = run(sys, grid, init, bc, config, bindings=bindings)
         if traj.aborted:
             raise SimulatorError(f"solver aborted at n = {n}")
-        errors.append(exact_error(traj, sol, bindings, fields=fields))
+        errors.append(exact_error(traj, sol, bindings, fields=bc.fields))
         if errors[-1] == 0:
             raise SimulatorError(f"the error vanishes at n = {n}: the scheme "
                                  "is exact here, so the order is undefined")

@@ -10,6 +10,7 @@ import io
 import random
 from dataclasses import dataclass, replace
 
+import mpmath
 import sympy as sp
 
 from . import expr as ex
@@ -71,11 +72,10 @@ class Constraint:
             raise SolutionError(f"unknown constraint kind {kind!r}")
         return cls(kind, ex.parse(rest))
 
-    def holds(self, bindings, margin_nonzero=0.1, margin_nonneg=0.01):
+    def holds(self, bindings):
+        """Whether |expr| >= 0.1 (nonzero) or expr >= 0.01 (nonneg)."""
         val = ex.eval_numeric(self.expr, bindings)
-        if self.kind == "nonzero":
-            return abs(val) >= margin_nonzero
-        return val >= margin_nonneg
+        return abs(val) >= 0.1 if self.kind == "nonzero" else val >= 0.01
 
 
 @dataclass(frozen=True)
@@ -256,8 +256,7 @@ def residual(sys, sol):
                  for s in raws)
 
 
-def sample_points(sol, bindings, points=20, seed=0,
-                  t_range=(0.1, 1.0), x_range=(0.1, 3.0)):
+def sample_points(sol, bindings, points=20, seed=0):
     """Quasi-random admissible (t, x) samples: every domain constraint must
     hold with margin and every kernel guard must pass."""
     rng = random.Random(seed)
@@ -266,9 +265,7 @@ def sample_points(sol, bindings, points=20, seed=0,
     probe = (sol.u_expr + sol.v_expr) * (sol.u_expr - sol.v_expr)
     while len(out) < points and attempts < 200 * points:
         attempts += 1
-        pt = dict(bindings)
-        pt[T] = rng.uniform(*t_range)
-        pt[X] = rng.uniform(*x_range)
+        pt = {**bindings, T: rng.uniform(0.1, 1.0), X: rng.uniform(0.1, 3.0)}
         try:
             if not all(c.holds(pt) for c in sol.constraints):
                 continue
@@ -283,22 +280,25 @@ def sample_points(sol, bindings, points=20, seed=0,
     return out
 
 
-def residual_numeric(sys, sol, bindings, points=20, seed=0, guard=1e-8):
-    """Max |residual| of both equations over admissible samples.  The raw,
-    unnormalized residual is evaluated in floating point, so this is an
-    independent oracle rather than a restatement of the symbolic result."""
+def residual_numeric(sys, sol, bindings, points=20, seed=0):
+    """Max |residual| of both equations over admissible samples, from the
+    raw, unnormalized residual compiled once by expr.compile_numeric and
+    evaluated in mpmath at 30 digits: an independent oracle."""
     b = _jet_bindings(sol)
-    raw = [sys.S_raw(k).xreplace(b) for k in (1, 2)]
+    raw = [ex.compile_numeric(sys.S_raw(k).xreplace(b)) for k in (1, 2)]
     pts = sample_points(sol, bindings, points=points, seed=seed)
     worst = 0.0
-    for pt in pts:
-        subs = {k if isinstance(k, sp.Basic) else ex.parameter(k): sp.Float(v, 30)
-                for k, v in pt.items()}
-        for r in raw:
-            val = r.xreplace(subs).evalf(30)
-            if not val.is_number or val.has(sp.zoo, sp.nan, sp.oo):
-                raise SolutionError(f"residual did not evaluate at {pt}")
-            worst = max(worst, abs(float(val)))
+    with mpmath.workdps(30):
+        for pt in pts:
+            env = {k: mpmath.mpf(v) for k, v in pt.items()}
+            for r in raw:
+                try:
+                    val = r(env)
+                except ex.ExprError:
+                    val = mpmath.nan
+                if not mpmath.isfinite(val):
+                    raise SolutionError(f"residual did not evaluate at {pt}")
+                worst = max(worst, abs(float(val)))
     return worst, len(pts)
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -185,6 +186,37 @@ class TestEvalNumeric:
         e = ex.normalize(sp.sin(X) * sp.exp(T))
         val = ex.eval_numeric(e, {X: 0.5, T: 0.25})
         assert val == pytest.approx(math.sin(0.5) * math.exp(0.25), rel=1e-12)
+
+    def test_mpf_bindings_evaluate_at_working_precision(self):
+        with mpmath.workdps(30):
+            val = ex.eval_numeric(ex.parse("exp(x)"), {X: mpmath.mpf(1)})
+            assert isinstance(val, mpmath.mpf)
+            assert abs(val - mpmath.e) < 1e-29
+            # 1/(x - 1) at 1 + 1e-10 is 1e10 to some 20 digits; in double
+            # precision it is off by about 800
+            near = ex.eval_numeric(ex.parse("1/(x - 1)"),
+                                   {X: 1 + mpmath.mpf(10) ** -10})
+            assert abs(near - mpmath.mpf(10) ** 10) < 1e-6
+
+    def test_mpf_guard_trips(self):
+        with mpmath.workdps(30), pytest.raises(ex.GuardViolation):
+            ex.eval_numeric(ex.parse("1/(x - 1)"), {X: mpmath.mpf(1)})
+
+    @pytest.mark.parametrize("text", [
+        "sqrt(u^2 + 1)*exp(-x/3) + sin(t)^3/(2 + cos(x*u))",
+        "exp(t + x/2)/sqrt(1 + x^2)^3 - cos(3*t)*sqrt(2*u + v)",
+        "(sin(x) + 2)^-2*exp(sin(u)) + sqrt(v*sqrt(x + 1))",
+    ])
+    def test_mpf_path_agrees_with_evalf(self, text):
+        # evalf(30) is the reference; the bindings are floats, exact in both
+        vals = {T: 0.3, X: 1.7, U: 0.45, V: 2.25}
+        for e in (ex.parse_sym(text), ex.parse(text).sym):
+            ref = e.xreplace({k: sp.Float(v, 30) for k, v in vals.items()})
+            ref = ref.evalf(30)
+            with mpmath.workdps(30):
+                got = ex.eval_numeric(e, {k: mpmath.mpf(v)
+                                          for k, v in vals.items()})
+            assert abs(got - ref) <= 1e-25 * max(1, abs(ref)), (e, got, ref)
 
 
 class TestCollectJet:

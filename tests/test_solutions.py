@@ -1,9 +1,11 @@
+import mpmath
 import pytest
 import sympy as sp
 
 from sktsym import expr as ex
 from sktsym import solutions as so
 from sktsym.expr import T, X
+from sktsym.invariance import SKTSystem
 from sktsym.jet import VectorField
 
 
@@ -64,6 +66,48 @@ class TestResidual:
         bad, _ = so.residual_numeric(so.target_system(so.MINUS), fam, binds,
                                      points=5, seed=1)
         assert bad > 1e-3
+
+    NUMERIC_BINDINGS = {
+        "seed-ode": {"alpha1": 0.8, "alpha2": 1.5},
+        "family-exp": {"alpha1": 0.8, "alpha2": 1.5, "p": 0.03,
+                       "lambda1": 0.5, "lambda2": 0.2},
+        "family-trig": {"alpha1": -1.0, "alpha2": -3.0, "p": 0.05,
+                        "lambda1": 1.0, "lambda2": 0.3},
+        "steady-ratio": {"lambda1": 1.0, "lambda2": 0.5},
+        "reduced-a": {"lambda1": 2.0, "lambda2": -1.0},
+        "reduced-b": {"alpha1": 0.3, "lambda1": 3.0, "lambda2": -1.0},
+        "reduced-c": {"alpha1": 0.4, "alpha2": 0.5, "lambda1": 2.0,
+                      "lambda2": -1.0},
+    }
+
+    @pytest.mark.parametrize("fid", sorted(NUMERIC_BINDINGS))
+    def test_compiled_residual_agrees_with_evalf(self, fid):
+        # the raw residuals on the family's own system (near zero) and on
+        # the other one (of order one), against evalf(30) as the reference
+        fam = so.builtin_family(fid)
+        binds = self.NUMERIC_BINDINGS[fid]
+        b = so._jet_bindings(fam)
+        raws = [sys.S_raw(k).xreplace(b)
+                for sys in (so.target_system(so.MINUS),
+                            so.target_system(so.PLUS))
+                for k in (1, 2)]
+        for pt in so.sample_points(fam, binds, points=3, seed=5):
+            subs = {ex.parameter(k) if isinstance(k, str) else k:
+                    sp.Float(v, 30) for k, v in pt.items()}
+            for r in raws:
+                ref = r.xreplace(subs).evalf(30)
+                with mpmath.workdps(30):
+                    got = ex.eval_numeric(r, {k: mpmath.mpf(v)
+                                              for k, v in pt.items()})
+                assert abs(got - ref) <= 1e-25 * max(1, abs(ref)), (fid, pt)
+
+    def test_residual_that_does_not_evaluate_raises(self):
+        # the system's parameter beta is bound at no sample point
+        fam = so.builtin_family("seed-ode")
+        sys = SKTSystem.make(d12=1, d21=1, c1="beta", b2=1)
+        with pytest.raises(so.SolutionError, match="did not evaluate"):
+            so.residual_numeric(sys, fam, {"alpha1": 0.8, "alpha2": 1.5},
+                                points=2)
 
     def test_sample_points_deterministic(self):
         fam = so.builtin_family("family-trig")
