@@ -127,8 +127,7 @@ class Catalog:
         """Concrete system plus resolved operator list; unbound parameters
         stay symbolic.  Numeric bindings violating a restriction raise."""
         entry = self.entry(table, case_id)
-        bindings = {ex.parameter(k) if isinstance(k, str) else k: v
-                    for k, v in (bindings or {}).items()}
+        bindings = {ex.symbol(k): v for k, v in (bindings or {}).items()}
         for r in entry.restrictions:
             val = ex.substitute(r, bindings)
             if val.sym.is_Number and val.sym == 0:

@@ -38,19 +38,31 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # helpers
 
+def _parameter_name(name):
+    """The stripped name, when it names a parameter: t, x and the jet names
+    are variables, and binding one is a usage error."""
+    name = name.strip()
+    try:
+        ex.parameter(name)
+    except ex.ExprError:
+        raise UsageError(f"binding names a variable, not a parameter: {name!r}")
+    return name
+
+
 def _parse_bindings(pairs):
     out = {}
     for item in pairs or []:
         if "=" not in item:
             raise UsageError(f"--bind expects k=v, got {item!r}")
         k, _, v = item.partition("=")
+        k = _parameter_name(k)
         try:
             val = sp.nsimplify(sp.sympify(v), rational=False)
         except (sp.SympifyError, TypeError):
             raise UsageError(f"cannot parse binding value {v!r}")
         if val.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
             raise UsageError(f"binding value {v!r} is not finite")
-        out[k.strip()] = val
+        out[k] = val
     return out
 
 
@@ -261,7 +273,7 @@ def _cmd_flux_check(args):
     sol = _family(args)
     bindings = _parse_bindings(args.bind)
     if bindings:
-        sol = sol.subs({ex.parameter(k): v for k, v in bindings.items()})
+        sol = sol.subs(bindings)
     try:
         x0, x1 = sp.sympify(args.x0), sp.sympify(args.x1)
     except sp.SympifyError:
@@ -294,8 +306,8 @@ def _cmd_simulate(args):
         init = sec.get("init")
         if t_end is None or init is None:
             raise UsageError("[simulate] needs t_end and init")
-        bindings = {k.split(".", 1)[1]: float(v) for k, v in sec.items()
-                    if k.startswith("bind.")}
+        bindings = {_parameter_name(k.split(".", 1)[1]): float(v)
+                    for k, v in sec.items() if k.startswith("bind.")}
         config = sim.SolverConfig(t_end=t_end, cfl_factor=cfl,
                                   output_stride=sec.getint("output_stride", 1))
         sol = so.builtin_family(init)

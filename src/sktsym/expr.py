@@ -132,6 +132,16 @@ def parameter(name):
     return _PARAMETERS.setdefault(name, sp.Symbol(name))
 
 
+def symbol(name):
+    """The symbol a binding key stands for: a sympy symbol is itself; a name
+    is t, x, a public jet name, or else parameter(name)."""
+    if not isinstance(name, str):
+        return name
+    if name in ("t", "x"):
+        return T if name == "t" else X
+    return _PUBLIC_JET_NAMES.get(name) or parameter(name)
+
+
 def known_symbols():
     d = {"t": T, "x": X}
     d.update(_PUBLIC_JET_NAMES)
@@ -849,9 +859,7 @@ def diff(e, s):
     assumptions = frozenset()
     if isinstance(e, Expression):
         assumptions, e = e.assumptions, e.sym
-    if isinstance(s, str):
-        s = known_symbols().get(s) or parameter(s)
-    return normalize(sp.diff(e, s), assumptions)
+    return normalize(sp.diff(e, symbol(s)), assumptions)
 
 
 def substitute(e, bindings):
@@ -861,12 +869,10 @@ def substitute(e, bindings):
         assumptions, e = e.assumptions, e.sym
     sub = {}
     for k, val in bindings.items():
-        if isinstance(k, str):
-            k = known_symbols()[k]
         if isinstance(val, Expression):
             assumptions = assumptions | val.assumptions
             val = val.sym
-        sub[k] = sp.sympify(val)
+        sub[symbol(k)] = sp.sympify(val)
     return normalize(e.xreplace(sub) if all(s.is_Symbol for s in sub) else e.subs(sub, simultaneous=True),
                      assumptions)
 
@@ -1040,11 +1046,7 @@ def compile_numeric(e, guard=1e-12):
             run, convert = precise[prec], mpmath.mpf
         else:
             run, convert = _compiled(sym, guard), _as_float
-        env = {}
-        for k, val in bindings.items():
-            if isinstance(k, str):
-                k = known_symbols()[k]
-            env[k] = convert(val)
+        env = {symbol(k): convert(val) for k, val in bindings.items()}
         return convert(run(env))
     return evaluate
 

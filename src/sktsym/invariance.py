@@ -1,8 +1,11 @@
 """SKT system representation, manifold restriction, invariance verdicts,
 determining-equation generation, commutators and algebra closure.
 
-One linear layer over the parameter field, _split_solve, gives the closure
-constants, the golden factors (proportional) and the forced zeros."""
+One linear layer over the parameter field reads every coefficient: its
+polynomials live in one sparse ring (_param_polys), which keys equations up
+to a parameter factor (_scale_free_key) and feeds _split_solve.  That solve
+gives the closure constants, the golden factors (proportional), the golden
+dependency relations (the forced zeros) and the reduction's profile."""
 
 from __future__ import annotations
 
@@ -219,12 +222,13 @@ def _param_field(syms):
 
 
 def _param_polys(nums, gens):
-    """nums as Polys in gens over one parameter field: the rational functions
-    of the symbols other than t, x, u, v and the generators.  Raises
-    NotPolynomialError if some num is not of that form."""
+    """The ring of polynomials in gens over one parameter field (the rational
+    functions of the symbols other than t, x, u, v and the generators), and
+    nums as its elements: one sparse ring for every coefficient reading.
+    Raises NotPolynomialError if some num is not of that form."""
     syms = set().union(*(n.free_symbols for n in nums)) - _VARIABLES - set(gens)
     try:
-        return [sp.Poly(n, *gens, domain=_param_field(syms)) for n in nums]
+        return sp.sring(nums, *gens, domain=_param_field(syms))
     except sp.polys.polyerrors.BasePolynomialError as exc:
         raise ex.NotPolynomialError(f"not polynomial over the parameters: {exc}") from exc
 
@@ -234,8 +238,9 @@ def _split_solve(eqs, unknowns, gens=None):
     the numerator of each over its monomials in `gens` (by default t, x, u,
     v, the exp/sin/cos atoms and the opaque functions and derivatives).
 
-    Returns the RREF and the pivots of the matrix over the parameter field
-    with one row per (equation, monomial), one column per unknown and a last
+    The numerators are read in one sparse ring (_param_polys).  Returns the
+    RREF and the pivots of the matrix over the ring's parameter field with
+    one row per (equation, monomial), one column per unknown and a last
     column for the part free of the unknowns.  Raises NotPolynomialError if
     a numerator is not polynomial in gens and the unknowns over that field,
     or not linear in the unknowns."""
@@ -246,18 +251,17 @@ def _split_solve(eqs, unknowns, gens=None):
         gens = _generators(nums, _OPAQUE + (sp.exp, sp.sin, sp.cos))
     gens = [g for g in gens if g not in unknowns]
     n = len(unknowns)
-    polys = _param_polys(nums, gens + list(unknowns))
+    ring, polys = _param_polys(nums, gens + list(unknowns))
     rows = {}
     for i, poly in enumerate(polys):
-        for monom, c in poly.as_dict(native=True).items():
+        for monom, c in poly.items():
             linear = monom[len(gens):]
             if sum(linear) > 1:
                 raise ex.NotPolynomialError(f"not linear in the unknowns: {nums[i]}")
             col = linear.index(1) if any(linear) else n
             rows.setdefault((i, monom[:len(gens)]), {})[col] = c
-    domain = polys[0].domain if polys else sp.QQ
     return DomainMatrix(dict(enumerate(rows.values())), (len(rows), n + 1),
-                        domain).rref()
+                        ring.domain).rref()
 
 
 def _linear_expand(target, basis):
@@ -292,20 +296,21 @@ def _scale_free_key(e):
     depends only on the parameters: two equations get the same key exactly
     when proportional() relates them.
 
-    The numerator of e is read as a polynomial in the opaque functions, their
-    derivatives and t, x, u, v, over the field of rational functions of the
-    remaining symbols, and made monic.  The field is then shrunk to the
-    symbols of the monic coefficients, so that the key does not depend on
-    symbols that only the scale factor carried.  Raises NotPolynomialError
-    if e is not of that form."""
+    The numerator of e is read in the sparse ring of polynomials in its
+    opaque functions, their derivatives and t, x, u, v, over the field of
+    rational functions of the remaining symbols (_param_polys), and made
+    monic.  The key is the generators with the monic coefficients as sympy
+    expressions, which do not depend on symbols that only the scale factor
+    carried.  The generators stay in the key: the numerators of
+    Derivative(xi0(t), t) and Derivative(xi1(t), t) have the same monomials.
+    Raises NotPolynomialError if e is not of that form."""
     num, den = _sym(e).as_numer_denom()
     if _generators([den]):
         raise ex.NotPolynomialError(f"denominator involves a generator: {den}")
-    (poly,) = _param_polys([num], _generators([num]))
-    monic = poly.exclude().monic()
-    coeff_syms = set().union(*(c.free_symbols for c in monic.coeffs()))
-    monic = sp.Poly(monic.as_expr(), *monic.gens, domain=_param_field(coeff_syms))
-    return monic.gens, monic
+    gens = _generators([num])
+    ring, (poly,) = _param_polys([num], gens)
+    return tuple(gens), frozenset((monom, ring.domain.to_sympy(c))
+                                  for monom, c in poly.monic().items())
 
 
 def generate_determining(sys=None, full_deps=True):
@@ -425,16 +430,16 @@ class GoldenReport:
         return not self.discrepancies and not self.unmatched_generated
 
 
-def _forced_zero_derivatives(equations, zeroed, targets):
-    """Which of `targets` are forced to vanish by the equations, after the
-    `zeroed` substitutions?  Every remaining opaque derivative of the target
-    functions is an unknown; the equations are split over monomials in
-    (u, v), and an unknown is forced to vanish when its pivot row has no
-    other nonzero entry."""
-    funcs = {d.expr.func for d in list(zeroed) + list(targets)}
+def _forced_zero_derivatives(equations, targets):
+    """Which of `targets` are forced to vanish by the equations?  Every opaque
+    derivative of the target functions is an unknown, and only the equations
+    in no other derivatives are read; they are split over monomials in (u, v)
+    by one _split_solve, and an unknown is forced to vanish exactly when its
+    pivot row has no other nonzero entry."""
+    funcs = {d.expr.func for d in targets}
     eqs, unknowns = [], set(targets)
     for eq in equations:
-        s = _sym(eq).xreplace(zeroed)
+        s = _sym(eq)
         derivs = s.atoms(sp.Derivative)
         if not derivs or any(d.expr.func not in funcs for d in derivs):
             continue
@@ -450,50 +455,23 @@ def _forced_zero_derivatives(equations, zeroed, targets):
 def golden_compare():
     """Compare the generated determining system with the printed one.
 
-    The dependency relations (the first golden item) are extracted from the
-    full-dependency split; those not matched directly are the forced zeros
-    of the linear layer (_forced_zero_derivatives).  The remaining 16 items
-    are matched against the restricted-dependency split up to a nonzero
-    factor that depends only on the parameters: each printed equation looks
-    up the generated one with the same _scale_free_key, and proportional()
-    solves for the factor through the same layer."""
+    The five dependency relations (the first golden item) are the forced
+    zeros of the full-dependency split (_forced_zero_derivatives).  The
+    remaining 16 items are matched against the restricted-dependency split
+    up to a nonzero factor that depends only on the parameters: each printed
+    equation looks up the generated one with the same _scale_free_key, and
+    proportional() solves for the factor through the same layer."""
     report = GoldenReport()
     printed = printed_determining_equations()
 
-    # dependency restrictions from the full split.  The xi0 derivatives are
-    # matched directly (an equation of the form factor * target); the xi1
-    # derivatives only appear in linear combinations, so they are recovered
-    # by eliminating the already-established zeros and solving the residual
-    # linear system.
     full = generate_determining(full_deps=True)
-    zeroed = {}
-    pending = []
+    forced = _forced_zero_derivatives(full.equations, printed[10])
     for target in printed[10]:
-        found = None
-        for eq in full.equations:
-            s = _sym(eq).xreplace(zeroed)
-            # s = q * target with q free of derivatives needs target to be
-            # the only derivative in s
-            if s.atoms(sp.Derivative) != {target}:
-                continue
-            quo = sp.cancel(ex._together(s / target))
-            if not quo.atoms(sp.Derivative) and quo != 0:
-                found = quo
-                break
-        if found is None:
-            pending.append(target)
+        if target in forced:
+            report.matches.setdefault(10, []).append(
+                (str(target), "linear elimination"))
         else:
-            zeroed[target] = sp.Integer(0)
-            report.matches.setdefault(10, []).append((str(target), found))
-    if pending:
-        forced = _forced_zero_derivatives(full.equations, zeroed, pending)
-        for target in pending:
-            if target in forced:
-                zeroed[target] = sp.Integer(0)
-                report.matches.setdefault(10, []).append(
-                    (str(target), "linear elimination"))
-            else:
-                report.discrepancies.append(("(10)", str(target)))
+            report.discrepancies.append(("(10)", str(target)))
 
     restricted = generate_determining(full_deps=False)
     remaining = {_scale_free_key(eq): eq for eq in restricted.equations}

@@ -125,12 +125,10 @@ class SolverConfig:
 
 def _numeric_params(sys, bindings=None):
     """The system's parameters as floats, by expr.eval_numeric."""
-    env = {ex.parameter(name) if isinstance(name, str) else name: val
-           for name, val in (bindings or {}).items()}
     vals = {}
     for k, e in sys.params().items():
         try:
-            vals[k] = ex.eval_numeric(e, env)
+            vals[k] = ex.eval_numeric(e, bindings or {})
         except ex.UnboundSymbolError:
             raise SimulatorError(f"parameter {k} = {e.sym} is not numeric; "
                                  "supply bindings")
@@ -141,8 +139,7 @@ def field_functions(sol, bindings):
     """The exact family as callables u(t, x), v(t, x) over arrays of x: each
     holds its expression compiled once by expr.compile_numeric, with the
     parameters bound."""
-    params = {ex.parameter(k) if isinstance(k, str) else k: float(v)
-              for k, v in (bindings or {}).items()}
+    params = {ex.symbol(k): float(v) for k, v in (bindings or {}).items()}
     for e in (sol.u_expr, sol.v_expr):
         free = e.sym.free_symbols - {T, X} - set(params)
         if free:

@@ -15,7 +15,7 @@ import sympy as sp
 
 from . import expr as ex
 from .expr import Expression, T, U, V, X, jet
-from .invariance import SKTSystem
+from .invariance import SKTSystem, _linear_expand, _scale_free_key
 
 
 class SolutionError(ex.ExprError):
@@ -359,23 +359,21 @@ PHI2 = sp.Function("phi2")(T)
 
 
 def _operator_profile(Xf):
-    """Extract F(x) from an operator xi1 = const, eta1 = F(x)/(u-v),
-    eta2 = -eta1; F must lie in span{cos x, sin x}."""
-    if not Xf.xi0.is_zero:
-        raise SolutionError("operator outside the supported reduction family")
-    if (Xf.eta1 + Xf.eta2).sym != 0:
-        raise SolutionError("operator outside the supported reduction family")
+    """Read (l1, l2) from an operator xi1 = const, eta1 = F(x)/(u-v),
+    eta2 = -eta1 with F = l1 cos x + l2 sin x, through the linear layer
+    (_linear_expand)."""
     c = Xf.xi1.sym
-    if c.has(T, X, U, V) or c == 0:
+    if (not Xf.xi0.is_zero or (Xf.eta1 + Xf.eta2).sym != 0
+            or c.has(T, X, U, V) or c == 0):
         raise SolutionError("operator outside the supported reduction family")
-    F = sp.cancel(sp.expand(Xf.eta1.sym * (U - V) / c))
-    if F.has(U, V, T):
+    F = ex.normalize(Xf.eta1.sym * (U - V) / c)
+    try:
+        profile = _linear_expand([F], [[sp.cos(X)], [sp.sin(X)]])
+    except ex.NotPolynomialError:
+        profile = None
+    if profile is None:
         raise SolutionError("operator outside the supported reduction family")
-    l1 = sp.expand(F).coeff(sp.cos(X))
-    l2 = sp.expand(F).coeff(sp.sin(X))
-    if sp.expand(F - l1 * sp.cos(X) - l2 * sp.sin(X)) != 0:
-        raise SolutionError("operator outside the supported reduction family")
-    return l1, l2
+    return profile
 
 
 def reduce_ansatz(sys, Xf):
@@ -383,7 +381,11 @@ def reduce_ansatz(sys, Xf):
     operator.  The invariant ansatz is
         u, v = (phi1 +/- sqrt(phi1^2 + 4 phi2 + 4 (l1 sin x - l2 cos x))) / 2,
     and the reduction returns the two ODEs {phi1' + 2 phi2, phi1 phi1' + 2 phi2'}
-    plus the integrated form {phi2 + phi1'/2, phi1' - phi1^2/2 - beta}."""
+    plus the integrated form {phi2 + phi1'/2, phi1' - phi1^2/2 - beta}.  The
+    ODEs are the parts of the residual numerators even and odd in the
+    radical, deduplicated up to a factor that depends only on the parameters
+    (_scale_free_key); each class keeps the primitive part of its first
+    member."""
     if not sys.equals(target_system(PLUS)):
         raise SolutionError("reduction implemented for u_t = [uv]_xx + uv only")
     l1, l2 = _operator_profile(Xf)
@@ -402,7 +404,7 @@ def reduce_ansatz(sys, Xf):
         uv = sp.expand(main * other)
         rhs = d(d(uv, X), X) + uv
         resids.append(sp.expand(d(main, T) - rhs))
-    odes = []
+    classes = {}
     for r in resids:
         n, _ = sp.fraction(ex._together(r))
         poly = sp.Poly(sp.expand(n), w)
@@ -411,12 +413,9 @@ def reduce_ansatz(sys, Xf):
             parts[k % 2] += coeff * Rrad ** (k // 2)
         for c in parts.values():
             c = sp.expand(sp.cancel(c))
-            if c == 0:
-                continue
-            c = _strip_content(c)
-            if not any(sp.cancel(ex._together(c / o)).is_Number for o in odes):
-                odes.append(c)
-    odes.sort(key=sp.count_ops)
+            if c != 0:
+                classes.setdefault(_scale_free_key(c), c.primitive()[1])
+    odes = sorted(classes.values(), key=sp.count_ops)
     beta = ex.parameter("beta")
     integrated = (sp.expand(PHI2 + sp.diff(PHI1, T) / 2),
                   sp.expand(sp.diff(PHI1, T) - PHI1 ** 2 / 2 - beta))
@@ -427,18 +426,6 @@ def reduce_ansatz(sys, Xf):
         reduced=tuple(ex.normalize(o) for o in odes),
         integrated=tuple(ex.normalize(i) for i in integrated),
         profile=ex.normalize(l1 * sp.cos(X) + l2 * sp.sin(X)))
-
-
-def _strip_content(e):
-    """Divide out a numeric content so equivalent ODEs compare equal."""
-    e = sp.expand(e)
-    args = e.args if e.is_Add else (e,)
-    nums = [sp.nsimplify(a.as_coeff_Mul()[0]) for a in args]
-    g = sp.gcd(nums) if nums else sp.Integer(1)
-    lead = nums[0]
-    if lead.could_extract_minus_sign() if hasattr(lead, "could_extract_minus_sign") else lead < 0:
-        g = -g
-    return sp.expand(e / g) if g not in (0, 1) else e
 
 
 def reduction_solutions():

@@ -119,6 +119,13 @@ class TestVerifySolution:
         assert out.splitlines()[0] == \
             "family,system,max_residual,points,verdict"
 
+    def test_unknown_bind_name_changes_nothing(self, capsys):
+        argv = ("verify-solution", "--family", "3-5",
+                "--bind", "alpha1=0.8", "--bind", "alpha2=1.5")
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert (code, out, err) == run(capsys, *argv, "--bind", "zzz=1")
+
     def test_broken_solution_file_fails(self, capsys, tmp_path):
         f = tmp_path / "broken.sol"
         f.write_text("[solution]\nname = broken\nsystem = 3-1\n"
@@ -280,6 +287,19 @@ class TestBadInputIsAUsageError:
         assert code == 2
         assert err.splitlines() == [
             f"error: binding value {value!r} is not finite"]
+
+    @pytest.mark.parametrize("name", ["x", "t", "u_x"])
+    def test_bind_of_a_variable(self, capsys, tmp_path, name):
+        # binding x would make the family x-free and pass the flux check
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SIMULATE_BASE + f"bind.{name} = 0.5\n")
+        for argv in (("flux-check", "--family", "3-7", "--bind", "lambda2=0",
+                      "--bind", f"{name}=0.5", "--x1", "pi/2"),
+                     ("simulate", "--config", str(cfg))):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err.splitlines() == [
+                f"error: binding names a variable, not a parameter: {name!r}"]
 
     def test_catalog_option_only_where_the_catalog_is_loaded(self, capsys):
         code, _, err = run(capsys, "verify-solution", "--family", "3-5",

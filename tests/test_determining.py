@@ -32,6 +32,17 @@ class TestScaleFreeKey:
         for factor in (U, T, eta1):
             assert self.key(factor) != base
 
+    def test_generators_tell_equal_monomial_sets_apart(self):
+        # both numerators are one generator to the first power, over the
+        # generators (t, derivative): only the generators differ
+        xi0t = sp.Derivative(sp.Function("xi0")(T), T)
+        xi1t = sp.Derivative(sp.Function("xi1")(T), T)
+        (gens0, monic0), (gens1, monic1) = (inv._scale_free_key(xi0t),
+                                            inv._scale_free_key(xi1t))
+        assert monic0 == monic1
+        assert gens0 != gens1
+        assert inv._scale_free_key(xi0t) != inv._scale_free_key(xi1t)
+
     def test_non_polynomial_input_raises(self):
         eta1 = sp.Function("eta1")(T, X, U, V)
         for bad in (sp.exp(U) * eta1, eta1 / V, sp.sin(X) * sp.Derivative(eta1, U)):

@@ -97,10 +97,12 @@ FIRST_FIVE_FULL = """
 
 
 def test_forced_zeros_of_a_partial_system():
+    # with all five dependency targets as unknowns, these five equations
+    # force xi0_u and xi0_v only: xi0_x and xi1_u, xi1_v stay free
     xi0, xi1 = sp.Function("xi0"), sp.Function("xi1")
     eqs = [sp.sympify(line, locals={"xi0": xi0, "xi1": xi1})
            for line in FIRST_FIVE_FULL.strip().splitlines()]
     xi0f, xi1f = xi0(T, X, U, V), xi1(T, X, U, V)
-    zeroed = {sp.diff(xi0f, s): sp.Integer(0) for s in (X, U, V)}
-    targets = [sp.diff(xi1f, U), sp.diff(xi1f, V)]
-    assert inv._forced_zero_derivatives(eqs, zeroed, targets) == {targets[0]}
+    targets = ([sp.diff(xi0f, s) for s in (X, U, V)]
+               + [sp.diff(xi1f, s) for s in (U, V)])
+    assert inv._forced_zero_derivatives(eqs, targets) == {targets[1], targets[2]}

@@ -184,6 +184,14 @@ class TestReduction:
     def test_perturbed_branch_fails(self, ansatz):
         assert not so.check_reduction(ansatz, -2 / T + 1, -1 / T ** 2)
 
+    @pytest.mark.parametrize("coeffs", [
+        ("0", "1", "exp(x)/(u-v)", "-exp(x)/(u-v)"),
+        ("1", "1", "cos(x)/(u-v)", "-cos(x)/(u-v)"),
+    ], ids=["exp-profile", "xi0-nonzero"])
+    def test_operator_outside_the_family_rejected(self, coeffs):
+        with pytest.raises(so.SolutionError):
+            so.reduce_ansatz(so.target_system(so.PLUS), VectorField.make(*coeffs))
+
     def test_wrong_system_rejected(self):
         op = VectorField.make("0", "1", "cos(x)/(u-v)", "-cos(x)/(u-v)")
         with pytest.raises(so.SolutionError):
