@@ -12,7 +12,7 @@ import sympy as sp
 from . import expr as ex
 from .expr import Expression, T, U, V, X
 from .invariance import (PointTransformation, SKTSystem, check_invariance,
-                         closure_check, transform_system)
+                         closure_check)
 from .jet import VectorField
 
 ENV_CATALOG = "SYMKIT_CATALOG"
@@ -75,14 +75,23 @@ class Catalog:
 
     @classmethod
     def from_text(cls, text):
+        """The catalog in a config text.  Every expression, on an entry line
+        or an operator line, is read by the toolkit grammar; a block that
+        does not read raises CatalogError naming the block."""
         operators, entries = {}, []
         for block in _parse_blocks(text):
             head = block.pop("__head__")
             if head.startswith("operator"):
-                name = head.split(None, 1)[1]
-                operators[name] = VectorField.make(
-                    block.get("xi0", "0"), block.get("xi1", "0"),
-                    block.get("eta1", "0"), block.get("eta2", "0"), name=name)
+                name = head[len("operator"):].strip()
+                if not name:
+                    raise CatalogError(f"malformed [{head}] block: no name")
+                try:
+                    operators[name] = VectorField.make(
+                        block.get("xi0", "0"), block.get("xi1", "0"),
+                        block.get("eta1", "0"), block.get("eta2", "0"),
+                        name=name)
+                except ex.ExprError as exc:
+                    raise CatalogError(f"malformed [{head}] block: {exc}")
             elif head == "entry":
                 try:
                     entries.append(cls._entry_from_block(block))
@@ -195,18 +204,6 @@ class Catalog:
             if alt.invariant:
                 return printed, "operator R: printed encoding selected", alt
         return repaired, None, verdict
-
-    # -- substitutions ----------------------------------------------------
-    def substitution(self, sub_id):
-        return substitution(sub_id)
-
-    def apply_substitution(self, target, sub_id_or_transform):
-        """Apply a point transformation to an entry or a system."""
-        tr = sub_id_or_transform
-        if isinstance(tr, str):
-            tr = substitution(tr)
-        system = target.system if isinstance(target, CatalogEntry) else target
-        return transform_system(system, tr)
 
 
 @dataclass(frozen=True)

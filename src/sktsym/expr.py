@@ -25,6 +25,12 @@ numeric evaluator (eval_numeric), shared by the sample checks, the
 simulator and the residual oracle.  It translates an expression once into
 nested closures (compile_numeric), in numpy double precision or, for mpmath
 bindings, in mpmath at the working precision, and calls them.
+
+Every value enters the kernel through one of two entry points: as_sym gives
+its raw sympy form and as_expression its Expression.  Both read a string with
+the toolkit grammar (parse_sym), so no input text is evaluated as Python.
+The builders elsewhere (a field's action, the total derivative, the
+manifold restriction) return raw sympy, and each caller normalizes once.
 """
 
 from __future__ import annotations
@@ -325,9 +331,9 @@ def _replace_atoms(e, table, canon):
     return out
 
 
-def _reduce_relations(poly_expr, table):
-    """Reduce even powers of sqrt/sin generators via their relations."""
-    e = sp.expand(poly_expr)
+def _reduce_relations(e, table):
+    """Reduce even powers of sqrt/sin generators via their relations in an
+    expanded polynomial; the result is expanded too."""
     changed = True
     while changed:
         changed = False
@@ -596,15 +602,14 @@ class Expression:
 
     def __post_init__(self):
         if not isinstance(self.sym, sp.Basic):
-            object.__setattr__(self, "sym", sp.sympify(self.sym))
+            object.__setattr__(self, "sym", as_sym(self.sym))
 
     # -- arithmetic -------------------------------------------------------
     def _bin(self, other, op):
-        o = other.sym if isinstance(other, Expression) else sp.sympify(other)
         merged = self.assumptions | (other.assumptions
                                      if isinstance(other, Expression)
                                      else frozenset())
-        return normalize(op(self.sym, o), merged)
+        return normalize(op(self.sym, as_sym(other)), merged)
 
     def __add__(self, other):
         return self._bin(other, lambda a, b: a + b)
@@ -639,7 +644,7 @@ class Expression:
             other = other.sym
         elif not isinstance(other, (sp.Basic, int, Fraction)):
             return NotImplemented
-        return iszero(self.sym - sp.sympify(other))
+        return iszero(self.sym - as_sym(other))
 
     def __hash__(self):
         return hash(self.sym)
@@ -654,9 +659,6 @@ class Expression:
         decide whether any other expression vanishes."""
         return self.sym == 0
 
-    def free_symbols(self):
-        return self.sym.free_symbols
-
     def has(self, *syms):
         return self.sym.has(*syms)
 
@@ -668,13 +670,32 @@ def _check_finite(sym):
         raise ZeroDenominatorError(f"division by zero in {sym}")
 
 
+def as_sym(value):
+    """The raw sympy form of a value entering the kernel: an Expression gives
+    its sym, a string is read by the toolkit grammar (parse_sym) and is never
+    evaluated as Python, and anything else goes to sp.sympify."""
+    if isinstance(value, Expression):
+        return value.sym
+    if isinstance(value, str):
+        return parse_sym(value)
+    return sp.sympify(value)
+
+
+def as_expression(value):
+    """A value entering the kernel as an Expression: an Expression is
+    returned as it is, anything else is normalize(as_sym(value))."""
+    if isinstance(value, Expression):
+        return value
+    return normalize(as_sym(value))
+
+
 def normalize(e, assumptions=frozenset()):
-    """Canonicalize a sympy expression (or Expression) into an Expression.
-    Raises ZeroDenominatorError if a denominator is identically zero."""
+    """Canonicalize a value (through as_sym) into an Expression, keeping the
+    assumptions of an Expression input.  Raises ZeroDenominatorError if a
+    denominator is identically zero."""
     if isinstance(e, Expression):
         assumptions = frozenset(assumptions) | e.assumptions
-        e = e.sym
-    e = sp.sympify(e)
+    e = as_sym(e)
     _check_finite(e)
     acc = set()
     out = _canon_core(e, acc)
@@ -699,7 +720,7 @@ def iszero(e, assumptions=None):
     common denominator is added to it unless that is a number.  The verdict
     does not depend on it.  Raises ZeroDenominatorError, as normalize()
     does, if e holds a division by zero."""
-    sym = e.sym if isinstance(e, Expression) else sp.sympify(e)
+    sym = as_sym(e)
     _check_finite(sym)
     if sym == 0:
         return True
@@ -712,8 +733,8 @@ def iszero(e, assumptions=None):
     table = _AtomTable(_ISZERO_GENERATORS)
     sym = _replace_atoms(sym, table, canon)
     n, d = sp.fraction(_together(sym))
-    # _reduce_relations leaves an expanded polynomial: zero only when it is 0
-    if _reduce_relations(n, table) != 0:
+    # the reduced expansion is zero only when it is 0
+    if _reduce_relations(sp.expand(n), table) != 0:
         return False
     if assumptions is not None and not d.is_Number:
         assumptions.add(d.xreplace(table.back))
@@ -847,8 +868,7 @@ def parse(text, extra=None):
 
 def render(e):
     """Render an expression in the surface grammar; round-trips via parse."""
-    sym = e.sym if isinstance(e, Expression) else sp.sympify(e)
-    return sp.sstr(sym).replace("**", "^")
+    return sp.sstr(as_sym(e)).replace("**", "^")
 
 
 # ---------------------------------------------------------------------------
@@ -856,23 +876,19 @@ def render(e):
 
 def diff(e, s):
     """Exact partial derivative w.r.t. one symbol; chain rule through atoms."""
-    assumptions = frozenset()
-    if isinstance(e, Expression):
-        assumptions, e = e.assumptions, e.sym
-    return normalize(sp.diff(e, symbol(s)), assumptions)
+    assumptions = e.assumptions if isinstance(e, Expression) else frozenset()
+    return normalize(sp.diff(as_sym(e), symbol(s)), assumptions)
 
 
 def substitute(e, bindings):
     """Simultaneous substitution followed by normalization."""
-    assumptions = frozenset()
-    if isinstance(e, Expression):
-        assumptions, e = e.assumptions, e.sym
+    assumptions = e.assumptions if isinstance(e, Expression) else frozenset()
+    e = as_sym(e)
     sub = {}
     for k, val in bindings.items():
         if isinstance(val, Expression):
             assumptions = assumptions | val.assumptions
-            val = val.sym
-        sub[symbol(k)] = sp.sympify(val)
+        sub[symbol(k)] = as_sym(val)
     return normalize(e.xreplace(sub) if all(s.is_Symbol for s in sub) else e.subs(sub, simultaneous=True),
                      assumptions)
 
@@ -918,11 +934,9 @@ def collect_jet(e):
     Expression input.  No canonical form of the whole input is built.
     Raises NotPolynomialError if a jet occurs in a denominator, inside an
     atom or at a power that is not a positive integer."""
-    assumptions = frozenset()
-    if isinstance(e, Expression):
-        assumptions, e = e.assumptions, e.sym
+    assumptions = e.assumptions if isinstance(e, Expression) else frozenset()
     groups = {}
-    for term in sp.Add.make_args(sp.expand(e)):
+    for term in sp.Add.make_args(sp.expand(as_sym(e))):
         powers, rest = _split_term(term)
         groups.setdefault(powers, []).append(rest)
     jets = tuple(_SPLIT_JETS)
@@ -1035,7 +1049,7 @@ def compile_numeric(e, guard=1e-12):
     at a bindings dict as eval_numeric does, through nested closures
     translated once (in numpy, cached per expression and guard; in mpmath,
     kept by the function per working precision)."""
-    sym = e.sym if isinstance(e, Expression) else sp.sympify(e)
+    sym = as_sym(e)
     precise = {}   # working precision -> the mpmath closures
 
     def evaluate(bindings):

@@ -22,10 +22,6 @@ _PARAM_KEYS = ("d1", "d2", "d11", "d12", "d21", "d22",
                "a1", "a2", "b1", "b2", "c1", "c2")
 
 
-def _sym(e):
-    return e.sym if isinstance(e, Expression) else sp.sympify(e)
-
-
 @dataclass(frozen=True)
 class SKTSystem:
     """The 12-parameter cross-diffusion system in evaluated form:
@@ -48,15 +44,7 @@ class SKTSystem:
 
     @classmethod
     def make(cls, **kw):
-        vals = {}
-        for k in _PARAM_KEYS:
-            val = kw.get(k, 0)
-            if isinstance(val, str):
-                val = ex.parse(val)
-            elif not isinstance(val, Expression):
-                val = ex.normalize(val)
-            vals[k] = val
-        return cls(**vals)
+        return cls(**{k: ex.as_expression(kw.get(k, 0)) for k in _PARAM_KEYS})
 
     @classmethod
     def generic(cls):
@@ -84,9 +72,6 @@ class SKTSystem:
     def S_raw(self, k):
         return -jet(k, 1, 0) + self.rhs_raw(k)
 
-    def S(self, k):
-        return ex.normalize(self.S_raw(k))
-
     def swap_uv(self):
         """The (u <-> v)-swapped system."""
         return SKTSystem(
@@ -110,12 +95,13 @@ class SKTSystem:
 _RESTRICT_PASSES = 8
 
 
-def manifold_restrict(e, sys, raw=False):
+def manifold_restrict(e, sys):
     """Eliminate u_t, v_t via the evolution equations, then u_tx/v_tx via
-    D_x of them, then u_tt/v_tt via D_t.  (u_txx introduced by the D_t route
-    is outside the elimination order and left alone.)  Raises ExprError if no
-    pass leaves the expression unchanged within _RESTRICT_PASSES passes."""
-    s = _sym(e)
+    D_x of them, then u_tt/v_tt via D_t, and return raw sympy.  (u_txx
+    introduced by the D_t route is outside the elimination order and left
+    alone.)  Raises ExprError if no pass leaves the expression unchanged
+    within _RESTRICT_PASSES passes."""
+    s = ex.as_sym(e)
     rhs = {1: sys.rhs_raw(1), 2: sys.rhs_raw(2)}
     first = {jet(1, 1, 0): rhs[1], jet(2, 1, 0): rhs[2]}
     for _ in range(_RESTRICT_PASSES):
@@ -137,7 +123,7 @@ def manifold_restrict(e, sys, raw=False):
     else:
         raise ex.ExprError(
             f"manifold restriction reached no fixed point in {_RESTRICT_PASSES} passes")
-    return s if raw else ex.normalize(s)
+    return s
 
 
 @dataclass(frozen=True)
@@ -160,8 +146,7 @@ def check_invariance(sys, Xf):
     witnesses = {}
     assumptions = set()
     for k in (1, 2):
-        Ek = apply_prolonged(P, sys.S_raw(k), raw=True)
-        r = manifold_restrict(Ek, sys, raw=True)
+        r = manifold_restrict(apply_prolonged(P, sys.S_raw(k)), sys)
         if ex.iszero(r, assumptions):
             continue
         for mono, coeff in ex.collect_jet(ex.normalize(r)).items():
@@ -246,7 +231,7 @@ def _split_solve(eqs, unknowns, gens=None):
     or not linear in the unknowns."""
     # denominators are free of the unknowns, so the numerator over any common
     # denominator has the same solutions; as_numer_denom skips together's gcd
-    nums = [_sym(e).as_numer_denom()[0] for e in eqs]
+    nums = [ex.as_sym(e).as_numer_denom()[0] for e in eqs]
     if gens is None:
         gens = _generators(nums, _OPAQUE + (sp.exp, sp.sin, sp.cos))
     gens = [g for g in gens if g not in unknowns]
@@ -270,7 +255,7 @@ def _linear_expand(target, basis):
     of expressions); None if there are none, "degenerate" if they are not
     unique."""
     cs = [sp.Dummy(f"c{k}") for k in range(len(basis))]
-    eqs = [_sym(t) - sum(c * _sym(b) for c, b in zip(cs, bs))
+    eqs = [ex.as_sym(t) - sum(c * ex.as_sym(b) for c, b in zip(cs, bs))
            for t, *bs in zip(target, *basis)]
     rref, pivots = _split_solve(eqs, cs)
     n = len(cs)
@@ -284,7 +269,7 @@ def _linear_expand(target, basis):
 def proportional(e1, e2):
     """Nonzero scalar lambda with e1 = lambda * e2, or None: the expansion of
     e1 in the basis (e2,)."""
-    s1, s2 = _sym(e1), _sym(e2)
+    s1, s2 = ex.as_sym(e1), ex.as_sym(e2)
     if s1 == 0 or s2 == 0:
         return sp.Integer(1) if s1 == 0 and s2 == 0 else None
     lam = _linear_expand([s1], [[s2]])
@@ -304,7 +289,7 @@ def _scale_free_key(e):
     carried.  The generators stay in the key: the numerators of
     Derivative(xi0(t), t) and Derivative(xi1(t), t) have the same monomials.
     Raises NotPolynomialError if e is not of that form."""
-    num, den = _sym(e).as_numer_denom()
+    num, den = ex.as_sym(e).as_numer_denom()
     if _generators([den]):
         raise ex.NotPolynomialError(f"denominator involves a generator: {den}")
     gens = _generators([num])
@@ -331,8 +316,7 @@ def generate_determining(sys=None, full_deps=True):
     P = prolong2(Xf)
     raw_split = {}
     for k in (1, 2):
-        Ek = apply_prolonged(P, sys.S_raw(k), raw=True)
-        r = manifold_restrict(Ek, sys, raw=True)
+        r = manifold_restrict(apply_prolonged(P, sys.S_raw(k)), sys)
         for mono, coeff in ex.collect_jet(r).items():
             if not coeff.is_zero:
                 raw_split[(k, mono)] = coeff
@@ -439,7 +423,7 @@ def _forced_zero_derivatives(equations, targets):
     funcs = {d.expr.func for d in targets}
     eqs, unknowns = [], set(targets)
     for eq in equations:
-        s = _sym(eq)
+        s = ex.as_sym(eq)
         derivs = s.atoms(sp.Derivative)
         if not derivs or any(d.expr.func not in funcs for d in derivs):
             continue
@@ -496,7 +480,7 @@ def golden_compare():
 def commutator(Xf, Yf):
     """[X, Y], componentwise X(Y_i) - Y(X_i) on (xi0, xi1, eta1, eta2), with
     one normalize per slot."""
-    coeffs = [ex.normalize(Xf.apply(yc, raw=True) - Yf.apply(xc, raw=True))
+    coeffs = [ex.normalize(Xf.apply(yc) - Yf.apply(xc))
               for xc, yc in zip(Xf.coeffs(), Yf.coeffs())]
     name = None
     if Xf.name and Yf.name:
@@ -558,9 +542,8 @@ class PointTransformation:
 
     @classmethod
     def make(cls, t_map="t", x_map="x", u_map="u", v_map="v", name=None):
-        conv = lambda e: e if isinstance(e, Expression) else (
-            ex.parse(e) if isinstance(e, str) else ex.normalize(e))
-        return cls(conv(t_map), conv(x_map), conv(u_map), conv(v_map), name=name)
+        return cls(*[ex.as_expression(m) for m in (t_map, x_map, u_map, v_map)],
+                   name=name)
 
 
 class TransformError(ex.ExprError):
@@ -677,11 +660,8 @@ def transform_system(sys, Tr):
     system's right-hand sides, written in the new coordinates
     (_coordinate_change); likewise for v*."""
     tprime, to_new = _coordinate_change(Tr)
-    rhs1, rhs2 = sys.rhs_raw(1), sys.rhs_raw(2)
-    image = []
-    for m in (Tr.u_map.sym, Tr.v_map.sym):
-        dm = sp.diff(m, T) + sp.diff(m, U) * rhs1 + sp.diff(m, V) * rhs2
-        image.append(to_new(dm / tprime))
+    image = [to_new(manifold_restrict(_total_raw(m, T), sys) / tprime)
+             for m in (Tr.u_map.sym, Tr.v_map.sym)]
     return _fit_template(image)
 
 
@@ -722,6 +702,6 @@ def pushforward(Xf, Tr):
     coordinate functions (t_map, x_map, u_map, v_map), written in the new
     coordinates (_coordinate_change)."""
     _, to_new = _coordinate_change(Tr)
-    comps = [to_new(Xf.apply(m.sym, raw=True))
+    comps = [to_new(Xf.apply(m))
              for m in (Tr.t_map, Tr.x_map, Tr.u_map, Tr.v_map)]
     return VectorField.make(*comps, name=(Xf.name or "X") + "*")

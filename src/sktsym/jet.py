@@ -1,6 +1,8 @@
 """Vector fields on (t, x, u, v), total derivatives on second-order jet
 space, and the second prolongation of a point-symmetry generator, whose
-coefficients are built and normalized only when an equation uses them."""
+coefficients are built and normalized only when an equation uses them.
+A field's action, the total derivative and the prolonged action return raw
+sympy; the caller normalizes once."""
 
 from __future__ import annotations
 
@@ -14,10 +16,6 @@ from .expr import Expression, T, U, V, X, jet
 
 class JetOrderError(ex.ExprError):
     pass
-
-
-def _as_sym(e):
-    return e.sym if isinstance(e, Expression) else sp.sympify(e)
 
 
 @dataclass(frozen=True)
@@ -37,8 +35,10 @@ class VectorField:
 
     @classmethod
     def make(cls, xi0, xi1, eta1, eta2, name=None):
-        return cls(*[c if isinstance(c, Expression) else ex.normalize(c)
-                     for c in (xi0, xi1, eta1, eta2)], name=name)
+        """The field with coefficients through ex.as_expression: a string is
+        read by the toolkit grammar, as an entry line of the catalog is."""
+        return cls(*[ex.as_expression(c) for c in (xi0, xi1, eta1, eta2)],
+                   name=name)
 
     def coeffs(self):
         return (self.xi0, self.xi1, self.eta1, self.eta2)
@@ -46,28 +46,11 @@ class VectorField:
     def is_zero(self):
         return all(c.is_zero for c in self.coeffs())
 
-    def apply(self, e, raw=False):
-        """First-order action X(e) on an order-0 expression."""
-        s = _as_sym(e)
-        out = (self.xi0.sym * sp.diff(s, T) + self.xi1.sym * sp.diff(s, X)
-               + self.eta1.sym * sp.diff(s, U) + self.eta2.sym * sp.diff(s, V))
-        return out if raw else ex.normalize(out)
-
-    def render(self):
-        lines = [f"{k}={ex.render(c)}" for k, c in
-                 zip(("xi0", "xi1", "eta1", "eta2"), self.coeffs())]
-        return "\n".join(lines)
-
-    @classmethod
-    def parse(cls, text, name=None, extra=None):
-        vals = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            key, _, rhs = line.partition("=")
-            vals[key.strip()] = ex.parse(rhs, extra=extra)
-        return cls.make(vals["xi0"], vals["xi1"], vals["eta1"], vals["eta2"], name=name)
+    def apply(self, e):
+        """First-order action X(e) on an order-0 expression, as raw sympy."""
+        s = ex.as_sym(e)
+        return (self.xi0.sym * sp.diff(s, T) + self.xi1.sym * sp.diff(s, X)
+                + self.eta1.sym * sp.diff(s, U) + self.eta2.sym * sp.diff(s, V))
 
     def __repr__(self):
         label = self.name or "X"
@@ -75,10 +58,11 @@ class VectorField:
                 f"eta1={self.eta1.sym}, eta2={self.eta2.sym})")
 
 
-def total_derivative(e, wrt, raw=False):
-    """Total derivative D_t or D_x of an expression with jet variables of
-    order <= 1 only (so the result stays within the order-2 jet space)."""
-    s = _as_sym(e)
+def total_derivative(e, wrt):
+    """Total derivative D_t or D_x, as raw sympy, of an expression with jet
+    variables of order <= 1 only (so the result stays within the order-2 jet
+    space)."""
+    s = ex.as_sym(e)
     if isinstance(wrt, str):
         wrt = {"t": T, "x": X}[wrt]
     for j in ex.ALL_JET_SYMBOLS:
@@ -86,8 +70,7 @@ def total_derivative(e, wrt, raw=False):
             raise JetOrderError(
                 f"input has order-2 jet {j}; total derivative "
                 "would leave the supported jet space")
-    out = _total_raw(s, wrt)
-    return out if raw else ex.normalize(out)
+    return _total_raw(s, wrt)
 
 
 def _total_raw(s, wrt):
@@ -147,14 +130,14 @@ def prolong2(field):
     return ProlongedField(field)
 
 
-def apply_prolonged(P, e, raw=False):
-    """Directional derivative of e along the prolonged field.  Only the
-    coefficients of the jets that e contains are built."""
-    s = _as_sym(e)
-    out = P.base.apply(s, raw=True)
+def apply_prolonged(P, e):
+    """Directional derivative of e along the prolonged field, as raw sympy.
+    Only the coefficients of the jets that e contains are built."""
+    s = ex.as_sym(e)
+    out = P.base.apply(s)
     for dep in (1, 2):
         for nt, nx in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
             j = jet(dep, nt, nx)
             if s.has(j):
                 out += P.coeff(dep, nt, nx).sym * sp.diff(s, j)
-    return out if raw else ex.normalize(out)
+    return out

@@ -42,17 +42,9 @@ def logistic_system(source_id, a, b, d1, d2):
     variables: u*_t = d1 [u*v*]_xx + u*(a b + b1 v*) with b1 = -/+ b d1 (and
     the v*-equation with d2, b2 = -/+ b d2)."""
     sign = -1 if source_id == MINUS else 1
-    a, b, d1, d2 = [_as_expr(z) for z in (a, b, d1, d2)]
+    a, b, d1, d2 = [ex.as_expression(z) for z in (a, b, d1, d2)]
     return SKTSystem.make(d12=d1, d21=d2, a1=a * b, a2=a * b,
                           c1=-sign * b * d1, b2=-sign * b * d2)
-
-
-def _as_expr(e):
-    if isinstance(e, Expression):
-        return e
-    if isinstance(e, str):
-        return ex.parse(e)
-    return ex.normalize(e)
 
 
 @dataclass(frozen=True)
@@ -185,7 +177,7 @@ def builtin_family(fid, branch=UPPER, system_id=None, func=None):
         sid = system_id or MINUS
         if sid not in (MINUS, PLUS):
             raise SolutionError(f"steady families target {MINUS} or {PLUS}")
-        g = _as_expr(func if func is not None else STEADY_TEST_BASIS[0])
+        g = ex.as_expression(func if func is not None else STEADY_TEST_BASIS[0])
         if g.has(T) or any(g.has(j) for j in ex.ALL_JET_SYMBOLS):
             raise SolutionError("function slot must depend on x only")
         if fid == "steady-ratio":
@@ -323,9 +315,9 @@ def group_orbit(sol, p, lam1=None, lam2=None, generator="X1"):
     if (generator == "X1") != (sol.system_id == MINUS):
         raise SolutionError(
             f"generator {generator} does not act on system {sol.system_id}")
-    lam1 = ex.normalize(_L1) if lam1 is None else _as_expr(lam1)
-    lam2 = ex.normalize(_L2) if lam2 is None else _as_expr(lam2)
-    p = _as_expr(p)
+    lam1 = ex.as_expression(_L1 if lam1 is None else lam1)
+    lam2 = ex.as_expression(_L2 if lam2 is None else lam2)
+    p = ex.as_expression(p)
     profile = _GENERATOR_PROFILE[generator](lam1.sym, lam2.sym)
     u, v = sol.u_expr.sym, sol.v_expr.sym
     mean = ex.normalize((u + v) / 2)
@@ -447,8 +439,8 @@ def reduction_solutions():
 def check_reduction(ansatz, phi1, phi2):
     """True when the concrete profiles phi1(t), phi2(t) satisfy every reduced
     ODE of the ansatz."""
-    p1 = _as_expr(phi1).sym
-    p2 = _as_expr(phi2).sym
+    p1 = ex.as_expression(phi1).sym
+    p2 = ex.as_expression(phi2).sym
     for o in ansatz.reduced:
         val = o.sym.subs({PHI1: p1, PHI2: p2}).doit()
         if not ex.iszero(val):
@@ -476,7 +468,7 @@ def flux_check(sol, x0, x1):
     rows = []
     ok = True
     for endpoint in (x0, x1):
-        e = _as_expr(endpoint)
+        e = ex.as_expression(endpoint)
         vals = tuple(ex.substitute(d, {X: e}) for d in (ux, vx))
         ok = ok and all(v.is_zero for v in vals)
         rows.append((e,) + vals)
@@ -491,7 +483,7 @@ def to_logistic(sol, a, b, d1, d2):
     t -> exp(a b t*), x -> sqrt(b) x*, u* = a t u / d2, v* = a t v / d1,
     yielding a solution of the logistic-form system (see logistic_system).
     Valid for t* real (the original t > 0 branch); requires a != 0, b > 0."""
-    a_, b_, d1_, d2_ = [_as_expr(z) for z in (a, b, d1, d2)]
+    a_, b_, d1_, d2_ = [ex.as_expression(z) for z in (a, b, d1, d2)]
     for val, cond in ((a_, lambda s: s == 0), (b_, lambda s: s.is_Number and s <= 0)):
         if cond(val.sym):
             raise SolutionError("logistic map needs a != 0 and b > 0")

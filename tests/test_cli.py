@@ -104,6 +104,39 @@ class TestCheckAndCommutators:
         assert "not polynomial" in err
 
 
+class TestMalformedOperatorLine:
+    """An operator line is read by the toolkit grammar, as an entry line is:
+    it is never evaluated as Python, and a line outside the grammar exits 1
+    with one error line naming its block."""
+
+    def _list(self, capsys, tmp_path, line, head="operator P_t"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{head}]\n{line}\n\n"
+                       "[entry]\ntable = 1\ncase = 1\nd12 = 1\nd21 = 1\n"
+                       "operators = P_t\n")
+        return run(capsys, "catalog", "list", "--catalog", str(cfg))
+
+    def test_python_code_is_not_executed(self, capsys, tmp_path):
+        code, out, err = self._list(
+            capsys, tmp_path,
+            "xi0 = __import__('builtins').print('EVALUATED-FROM-CATALOG') or 0")
+        assert code == 1
+        assert "EVALUATED-FROM-CATALOG" not in out + err
+        assert re.fullmatch(r"error: malformed \[operator P_t\] block: .*\n", err)
+
+    def test_incomplete_line_exits_one_without_traceback(self, capsys,
+                                                         tmp_path):
+        code, _, err = self._list(capsys, tmp_path, "xi0 = t^")
+        assert code == 1
+        assert "Traceback" not in err
+        assert re.fullmatch(r"error: malformed \[operator P_t\] block: .*\n", err)
+
+    def test_block_without_a_name_exits_one(self, capsys, tmp_path):
+        code, _, err = self._list(capsys, tmp_path, "xi0 = 1", head="operator")
+        assert code == 1
+        assert err == "error: malformed [operator] block: no name\n"
+
+
 class TestVerifySolution:
     def test_builtin_family_passes(self, capsys):
         code, out, _ = run(capsys, "verify-solution", "--family", "3-6",

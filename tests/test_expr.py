@@ -143,6 +143,24 @@ class TestExpressionType:
             ex.parse("gamma(u)")
 
 
+class TestCoercion:
+    def test_expression_is_returned_as_it_is(self):
+        e = ex.parse("u + v")
+        assert ex.as_expression(e) is e
+
+    def test_string_reads_the_grammar(self):
+        assert ex.as_sym("x^2") == X ** 2
+        assert ex.as_expression("x^2").sym == X ** 2
+
+    def test_string_is_not_evaluated_as_python(self):
+        for coerce in (ex.as_sym, ex.as_expression):
+            with pytest.raises(ex.ParseError):
+                coerce("__import__('os')")
+
+    def test_float_stays_a_float(self):
+        assert isinstance(ex.as_sym(0.5), sp.Float)
+
+
 class TestEvalNumeric:
     def test_simple_value(self):
         e = ex.parse("u^2 + v")

@@ -15,7 +15,7 @@ import sys
 import sympy as sp
 
 from sktsym import invariance as inv
-from sktsym.catalog import Catalog
+from sktsym.catalog import Catalog, substitution
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "transforms.txt"
 TIME_DEPENDENT = {((1, 3), "37a:10"), ((1, 12), "37a:10"),
@@ -27,10 +27,10 @@ def render(catalog):
     for key in sorted(catalog.entries):
         entry = catalog.entries[key]
         for sub_id in entry.substitutions:
-            tr = catalog.substitution(sub_id)
+            tr = substitution(sub_id)
             head = f"{key[0]},{key[1]} {sub_id}"
             if (key, sub_id) not in TIME_DEPENDENT:
-                res = catalog.apply_substitution(entry, tr)
+                res = inv.transform_system(entry.system, tr)
                 if res.is_skt:
                     images.append(f"{head} SKT")
                     images += [f"  {k} {sp.srepr(v.sym)}"
