@@ -11,11 +11,15 @@ import sympy as sp
 
 from . import expr as ex
 from .expr import Expression, T, U, V, X
-from .invariance import (PointTransformation, SKTSystem, check_invariance,
-                         closure_check)
+from .invariance import (_PARAM_KEYS, PointTransformation, SKTSystem,
+                         check_invariance, closure_check)
 from .jet import VectorField
 
 ENV_CATALOG = "SYMKIT_CATALOG"
+
+_OPERATOR_KEYS = ("xi0", "xi1", "eta1", "eta2")
+_ENTRY_KEYS = ("table", "case", "restrictions", "operators",
+               "substitutions") + _PARAM_KEYS
 
 
 class CatalogError(ex.ExprError):
@@ -34,6 +38,11 @@ class CatalogEntry:
     @property
     def key(self):
         return (self.table, self.case_id)
+
+
+def _unknown_key(block, known):
+    """The first key of the block that is not in known, or None."""
+    return next((k for k in block if k not in known), None)
 
 
 def _parse_blocks(text):
@@ -77,7 +86,8 @@ class Catalog:
     def from_text(cls, text):
         """The catalog in a config text.  Every expression, on an entry line
         or an operator line, is read by the toolkit grammar; a block that
-        does not read raises CatalogError naming the block."""
+        does not read, or that has a key its kind does not know, raises
+        CatalogError naming the block."""
         operators, entries = {}, []
         for block in _parse_blocks(text):
             head = block.pop("__head__")
@@ -85,6 +95,10 @@ class Catalog:
                 name = head[len("operator"):].strip()
                 if not name:
                     raise CatalogError(f"malformed [{head}] block: no name")
+                unknown = _unknown_key(block, _OPERATOR_KEYS)
+                if unknown is not None:
+                    raise CatalogError(
+                        f"malformed [{head}] block: unknown key {unknown!r}")
                 try:
                     operators[name] = VectorField.make(
                         block.get("xi0", "0"), block.get("xi1", "0"),
@@ -108,6 +122,9 @@ class Catalog:
 
     @staticmethod
     def _entry_from_block(block):
+        unknown = _unknown_key(block, _ENTRY_KEYS)
+        if unknown is not None:
+            raise ValueError(f"unknown key {unknown!r}")
         table = int(block.pop("table"))
         case_id = int(block.pop("case"))
         restrictions = tuple(ex.parse(s) for s in

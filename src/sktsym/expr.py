@@ -119,6 +119,15 @@ _PUBLIC_JET_NAMES = {
 }
 
 ALL_JET_SYMBOLS = tuple(_JET.values())
+_JET_SET = frozenset(ALL_JET_SYMBOLS)
+
+
+def jets_in(s):
+    """The jet symbols free in raw sympy s, in ALL_JET_SYMBOLS order, from
+    one free_symbols scan."""
+    found = s.free_symbols & _JET_SET
+    return [j for j in ALL_JET_SYMBOLS if j in found]
+
 
 _PARAMETER_NAMES = [
     "d1", "d2", "d11", "d12", "d21", "d22",

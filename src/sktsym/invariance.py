@@ -10,6 +10,7 @@ dependency relations (the forced zeros) and the reduction's profile."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
@@ -54,23 +55,33 @@ class SKTSystem:
         return {k: getattr(self, k) for k in _PARAM_KEYS}
 
     def rhs_raw(self, dep):
-        """Right-hand side of the evolution equation for u (dep=1) or v."""
+        """Right-hand side of the evolution equation for u (dep=1) or v
+        (dep=2), built once per system object (_raw_equations)."""
+        return self._raw_equations[dep][0]
+
+    def S_raw(self, k):
+        """-u_t + rhs_raw(1) (k=1) or -v_t + rhs_raw(2), built once per
+        system object, so the partials jet._partial keeps for it serve every
+        operator checked on the system."""
+        return self._raw_equations[k][1]
+
+    @cached_property
+    def _raw_equations(self):
+        """dep -> (rhs_raw(dep), S_raw(dep)), built on first use."""
         g = lambda k: getattr(self, k).sym
         u, v = U, V
         ux, vx = jet(1, 0, 1), jet(2, 0, 1)
         uxx, vxx = jet(1, 0, 2), jet(2, 0, 2)
-        if dep == 1:
-            return (g("d1") * uxx + 2 * g("d11") * u * uxx + g("d12") * v * uxx
-                    + g("d12") * u * vxx + 2 * g("d11") * ux ** 2
-                    + 2 * g("d12") * ux * vx
-                    + g("a1") * u - g("b1") * u ** 2 - g("c1") * u * v)
-        return (g("d2") * vxx + 2 * g("d22") * v * vxx + g("d21") * u * vxx
+        rhs = {
+            1: (g("d1") * uxx + 2 * g("d11") * u * uxx + g("d12") * v * uxx
+                + g("d12") * u * vxx + 2 * g("d11") * ux ** 2
+                + 2 * g("d12") * ux * vx
+                + g("a1") * u - g("b1") * u ** 2 - g("c1") * u * v),
+            2: (g("d2") * vxx + 2 * g("d22") * v * vxx + g("d21") * u * vxx
                 + g("d21") * v * uxx + 2 * g("d22") * vx ** 2
                 + 2 * g("d21") * ux * vx
-                + g("a2") * v - g("c2") * v ** 2 - g("b2") * u * v)
-
-    def S_raw(self, k):
-        return -jet(k, 1, 0) + self.rhs_raw(k)
+                + g("a2") * v - g("c2") * v ** 2 - g("b2") * u * v)}
+        return {k: (r, -jet(k, 1, 0) + r) for k, r in rhs.items()}
 
     def swap_uv(self):
         """The (u <-> v)-swapped system."""
@@ -163,7 +174,13 @@ def check_invariance(sys, Xf):
 def opaque_field(full_deps=True):
     """The generic infinitesimal operator with opaque coefficient functions.
     full_deps=False applies the dependency restrictions xi0=xi0(t),
-    xi1=xi1(t,x)."""
+    xi1=xi1(t,x).  There is one field per choice in a process, so every
+    split of it shares one generic prolongation (VectorField.prolonged)."""
+    return _opaque_field(bool(full_deps))
+
+
+@lru_cache(maxsize=None)
+def _opaque_field(full_deps):
     if full_deps:
         xi0 = sp.Function("xi0")(T, X, U, V)
         xi1 = sp.Function("xi1")(T, X, U, V)
@@ -479,13 +496,26 @@ def golden_compare():
 
 def commutator(Xf, Yf):
     """[X, Y], componentwise X(Y_i) - Y(X_i) on (xi0, xi1, eta1, eta2), with
-    one normalize per slot."""
-    coeffs = [ex.normalize(Xf.apply(yc) - Yf.apply(xc))
-              for xc, yc in zip(Xf.coeffs(), Yf.coeffs())]
+    one normalize per slot.  The normalized slots are kept per pair of raw
+    coefficient tuples (_bracket), so a pair that several entries list is
+    bracketed once per process."""
+    coeffs = _bracket(tuple(c.sym for c in Xf.coeffs()),
+                      tuple(c.sym for c in Yf.coeffs()))
     name = None
     if Xf.name and Yf.name:
         name = f"[{Xf.name},{Yf.name}]"
     return VectorField.make(*coeffs, name=name)
+
+
+@lru_cache(maxsize=256)
+def _bracket(xs, ys):
+    """The four normalized slots of [X, Y] for the raw coefficients xs of X
+    and ys of Y.  The key is raw sympy, so a lookup compares structure and
+    never runs the zero test that Expression equality runs.  A catalog
+    validation brackets 78 distinct pairs."""
+    Xf, Yf = (VectorField(*map(Expression, cs)) for cs in (xs, ys))
+    return tuple(ex.normalize(Xf.apply(yc) - Yf.apply(xc))
+                 for xc, yc in zip(xs, ys))
 
 
 @dataclass

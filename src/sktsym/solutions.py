@@ -82,8 +82,8 @@ class SolutionFamily:
     def __post_init__(self):
         if self.branch not in (UPPER, LOWER):
             raise SolutionError(f"branch must be upper or lower, got {self.branch!r}")
-        bad = [j for j in ex.ALL_JET_SYMBOLS
-               for e in (self.u_expr, self.v_expr) if e.has(j)]
+        found = [e.sym.free_symbols for e in (self.u_expr, self.v_expr)]
+        bad = [j for j in ex.ALL_JET_SYMBOLS for f in found if j in f]
         if bad:
             raise SolutionError(f"solution expressions contain jet variables: {bad}")
 
@@ -178,7 +178,7 @@ def builtin_family(fid, branch=UPPER, system_id=None, func=None):
         if sid not in (MINUS, PLUS):
             raise SolutionError(f"steady families target {MINUS} or {PLUS}")
         g = ex.as_expression(func if func is not None else STEADY_TEST_BASIS[0])
-        if g.has(T) or any(g.has(j) for j in ex.ALL_JET_SYMBOLS):
+        if g.has(T) or ex.jets_in(g.sym):
             raise SolutionError("function slot must depend on x only")
         if fid == "steady-ratio":
             # u = f/g, v = g with f'' - f = 0 (minus system) or f'' + f = 0

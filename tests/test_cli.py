@@ -137,6 +137,30 @@ class TestMalformedOperatorLine:
         assert err == "error: malformed [operator] block: no name\n"
 
 
+class TestUnknownCatalogKey:
+    """A key that its block does not know exits 1 with one error line, for
+    an operator block and for an entry block."""
+
+    def _list(self, capsys, tmp_path, operator_line="", entry_line=""):
+        cfg = tmp_path / "unknown.cfg"
+        cfg.write_text(f"[operator P_t]\nxi0 = 1\n{operator_line}\n\n"
+                       "[entry]\ntable = 1\ncase = 1\nd12 = 1\nd21 = 1\n"
+                       f"{entry_line}\noperators = P_t\n")
+        return run(capsys, "catalog", "list", "--catalog", str(cfg))
+
+    def test_unknown_operator_key_exits_one(self, capsys, tmp_path):
+        code, out, err = self._list(capsys, tmp_path, operator_line="zeta = 1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: malformed [operator P_t] block: unknown key 'zeta'\n"
+
+    def test_unknown_entry_key_exits_one(self, capsys, tmp_path):
+        code, out, err = self._list(capsys, tmp_path, entry_line="d13 = 1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: malformed [entry] block: unknown key 'd13'\n"
+
+
 class TestVerifySolution:
     def test_builtin_family_passes(self, capsys):
         code, out, _ = run(capsys, "verify-solution", "--family", "3-6",

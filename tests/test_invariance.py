@@ -110,6 +110,36 @@ class TestClosure:
         rep = inv.closure_check(ops)
         assert not rep.closes
 
+    def test_repeated_commutator_runs_no_zero_test(self, monkeypatch):
+        a = VectorField.make("t", "x/2", "-u", "exp(x)/(u - v)")
+        b = VectorField.make("0", "1", "u", "0")
+        first = inv.commutator(a, b)
+        calls = []
+
+        def counting_iszero(*args, **kwargs):
+            calls.append(args)
+            return ex_iszero(*args, **kwargs)
+
+        ex_iszero = ex.iszero
+        monkeypatch.setattr(ex, "iszero", counting_iszero)
+        # equal fields built anew: the lookup compares raw sympy only
+        again = inv.commutator(VectorField.make("t", "x/2", "-u", "exp(x)/(u - v)"),
+                               VectorField.make("0", "1", "u", "0"))
+        assert calls == []
+        assert [c.sym for c in again.coeffs()] == [c.sym for c in first.coeffs()]
+
+    def test_pairs_that_differ_in_one_slot_do_not_share_a_bracket(self, catalog):
+        px, d2, d4, u_dv = (catalog.operator(n) for n in ("P_x", "D2", "D4", "u_dv"))
+        # D2 and D4 share xi0 and xi1 and differ in eta1
+        inv._bracket.cache_clear()
+        inv.commutator(px, d2)
+        inv.commutator(px, d4)
+        assert inv._bracket.cache_info().misses == 2
+        assert inv.commutator(d2, u_dv).is_zero()
+        c = inv.commutator(d4, u_dv)
+        assert c.eta2.sym == -2 * U
+        assert c.xi0.is_zero and c.xi1.is_zero and c.eta1.is_zero
+
     def test_commutator_outside_the_polynomial_span_raises(self):
         # [P_x, sqrt(x)*P_x] = P_x/(2*sqrt(x)) is not in the span; it must not
         # pass as a degenerate pair of a closing algebra
@@ -117,6 +147,22 @@ class TestClosure:
                VectorField.make("0", "sqrt(x)", "0", "0")]
         with pytest.raises(ex.NotPolynomialError):
             inv.closure_check(ops)
+
+
+class TestRepeatedValidation:
+    def test_second_run_in_one_process_gives_identical_rows(self):
+        # a fresh catalog; the second run finds every prolongation, bracket
+        # and partial of the first one kept
+        cat = cg.Catalog.load()
+
+        def rows():
+            report = cat.validate_all(keys=[(2, 3), (2, 4)])
+            control = cat.validate_all(keys=[(2, 4)], mutate={(2, 4): {"c1": "1"}})
+            return report.rows + control.rows, report.notes + control.notes
+
+        first, second = rows(), rows()
+        assert second == first
+        assert not all(r.invariant for r in first[0])
 
 
 class TestPointTransformation:

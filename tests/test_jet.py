@@ -160,6 +160,57 @@ class TestLazyProlongation:
             P.coeff(*key)
 
 
+class _CountingSympy:
+    """Stands in for sympy inside sktsym.jet and records every partial
+    derivative taken there."""
+
+    def __init__(self):
+        self.diffs = []
+
+    def __getattr__(self, name):
+        return getattr(sp, name)
+
+    def diff(self, s, var):
+        self.diffs.append((s, var))
+        return sp.diff(s, var)
+
+
+class TestOncePerProcess:
+    def test_a_field_has_one_prolongation(self):
+        field = VectorField.make("t", "x", "u", "v")
+        assert prolong2(field) is prolong2(field) is field.prolonged
+        assert inv.opaque_field(full_deps=True) is inv.opaque_field()
+        assert inv.opaque_field(False) is not inv.opaque_field(True)
+
+    def test_second_entry_normalizes_no_coefficient_of_d1_again(self, monkeypatch):
+        # a fresh catalog: its operators are prolonged by this test alone
+        cat = cat_mod.Catalog.load()
+        P = cat.operator("D1").prolonged
+        cat.validate_all(keys=[(1, 3)])
+        assert set(P._coeffs) == SKT_JETS
+        built = [P._raw[key] for key in SKT_JETS]
+        counting = _CountingExpr()
+        monkeypatch.setattr(jet_mod, "ex", counting)
+        report = cat.validate_all(keys=[(2, 1)])
+        assert [r.operator for r in report.rows] == ["P_t", "P_x", "D1", "<closure>"]
+        assert cat.operator("D1").prolonged is P
+        assert not any(e == raw for e in counting.normalized for raw in built)
+
+    def test_each_partial_of_s_raw_is_taken_once_per_entry(self, monkeypatch):
+        cat = cat_mod.Catalog.load()
+        entry = cat.entry(3, 6)
+        assert len(entry.operators) == 6
+        counting = _CountingSympy()
+        jet_mod._partial.cache_clear()
+        monkeypatch.setattr(jet_mod, "sp", counting)
+        cat.validate_all(keys=[entry.key])
+        equations = [entry.system.S_raw(k) for k in (1, 2)]
+        taken = [(s, var) for s, var in counting.diffs if s in equations]
+        # d/dt, d/dx, d/du, d/dv and the jets of each equation
+        assert len(taken) >= 2 * 4
+        assert len(taken) == len(set(taken))
+
+
 class TestCommutator:
     def test_translations_commute(self):
         pt = VectorField.make("1", "0", "0", "0")
