@@ -49,6 +49,25 @@ def _parameter_name(name):
     return name
 
 
+# names an argv value may use besides the grammar's own; oo and nan are
+# known so that they are refused as not finite rather than as unknown
+_ARGV_CONSTANTS = {"pi": sp.pi, "oo": sp.oo, "nan": sp.nan}
+
+
+def _argv_value(text, what):
+    """A value given on the command line, read by the toolkit grammar with
+    _ARGV_CONSTANTS and never evaluated as Python; a decimal is its exact
+    rational.  A value outside the grammar or not finite is a usage error,
+    and `what` names it in the message."""
+    try:
+        val = ex.parse_sym(text, _ARGV_CONSTANTS)
+    except ex.ParseError:
+        raise UsageError(f"cannot parse {what}")
+    if val.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        raise UsageError(f"{what} is not finite")
+    return val
+
+
 def _parse_bindings(pairs):
     out = {}
     for item in pairs or []:
@@ -56,13 +75,7 @@ def _parse_bindings(pairs):
             raise UsageError(f"--bind expects k=v, got {item!r}")
         k, _, v = item.partition("=")
         k = _parameter_name(k)
-        try:
-            val = sp.nsimplify(sp.sympify(v), rational=False)
-        except (sp.SympifyError, TypeError):
-            raise UsageError(f"cannot parse binding value {v!r}")
-        if val.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-            raise UsageError(f"binding value {v!r} is not finite")
-        out[k] = val
+        out[k] = _argv_value(v, f"binding value {v!r}")
     return out
 
 
@@ -274,10 +287,7 @@ def _cmd_flux_check(args):
     bindings = _parse_bindings(args.bind)
     if bindings:
         sol = sol.subs(bindings)
-    try:
-        x0, x1 = sp.sympify(args.x0), sp.sympify(args.x1)
-    except sp.SympifyError:
-        raise UsageError("cannot parse --x0/--x1")
+    x0, x1 = (_argv_value(x, "--x0/--x1") for x in (args.x0, args.x1))
     rep = so.flux_check(sol, x0, x1)
     lines = [f"flux check for {sol.name} on ({sp.sstr(x0)}, {sp.sstr(x1)}):"]
     for (pt, ux, vx) in rep.endpoint_values:

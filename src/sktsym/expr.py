@@ -29,8 +29,10 @@ bindings, in mpmath at the working precision, and calls them.
 Every value enters the kernel through one of two entry points: as_sym gives
 its raw sympy form and as_expression its Expression.  Both read a string with
 the toolkit grammar (parse_sym), so no input text is evaluated as Python.
+An Expression is a record (sym, assumptions) with no arithmetic operators.
 The builders elsewhere (a field's action, the total derivative, the
-manifold restriction) return raw sympy, and each caller normalizes once.
+manifold restriction) return raw sympy, values are combined as raw sympy,
+and each caller normalizes or decides the result once.
 """
 
 from __future__ import annotations
@@ -603,8 +605,10 @@ def _canon_core(e, assumptions):
 
 @dataclass(frozen=True)
 class Expression:
-    """A canonical symbolic expression plus the nonzeroness assumptions
-    consumed while producing it."""
+    """A record of a canonical symbolic expression and the nonzeroness
+    assumptions consumed while producing it.  It has no arithmetic: a caller
+    combines .sym values as raw sympy and normalizes or decides the result
+    once.  Equality is the zero test (iszero) of the difference."""
 
     sym: sp.Expr
     assumptions: frozenset = field(default_factory=frozenset)
@@ -612,41 +616,6 @@ class Expression:
     def __post_init__(self):
         if not isinstance(self.sym, sp.Basic):
             object.__setattr__(self, "sym", as_sym(self.sym))
-
-    # -- arithmetic -------------------------------------------------------
-    def _bin(self, other, op):
-        merged = self.assumptions | (other.assumptions
-                                     if isinstance(other, Expression)
-                                     else frozenset())
-        return normalize(op(self.sym, as_sym(other)), merged)
-
-    def __add__(self, other):
-        return self._bin(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._bin(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._bin(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._bin(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._bin(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._bin(other, lambda a, b: b / a)
-
-    def __pow__(self, k):
-        return normalize(self.sym ** int(k), self.assumptions)
-
-    def __neg__(self):
-        return Expression(-self.sym, self.assumptions)
 
     def __eq__(self, other):
         if isinstance(other, Expression):
@@ -682,7 +651,8 @@ def _check_finite(sym):
 def as_sym(value):
     """The raw sympy form of a value entering the kernel: an Expression gives
     its sym, a string is read by the toolkit grammar (parse_sym) and is never
-    evaluated as Python, and anything else goes to sp.sympify."""
+    evaluated as Python, and anything else goes to sp.sympify.  Expressions
+    have no arithmetic, so values are combined in this form."""
     if isinstance(value, Expression):
         return value.sym
     if isinstance(value, str):

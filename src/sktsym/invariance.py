@@ -17,7 +17,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from . import expr as ex
 from .expr import Expression, T, U, V, X, jet
-from .jet import VectorField, prolong2, apply_prolonged, _total_raw
+from .jet import VectorField, prolong2, apply_prolonged, total_derivative
 
 _PARAM_KEYS = ("d1", "d2", "d11", "d12", "d21", "d22",
                "a1", "a2", "b1", "b2", "c1", "c2")
@@ -123,11 +123,11 @@ def manifold_restrict(e, sys):
         for dep in (1, 2):
             jx = jet(dep, 1, 1)
             if s.has(jx):
-                s = s.xreplace({jx: _total_raw(rhs[dep], X)})
+                s = s.xreplace({jx: total_derivative(rhs[dep], X)})
                 done = False
             jtt = jet(dep, 2, 0)
             if s.has(jtt):
-                s = s.xreplace({jtt: _total_raw(rhs[dep], T)})
+                s = s.xreplace({jtt: total_derivative(rhs[dep], T)})
                 done = False
         if done:
             break
@@ -426,10 +426,6 @@ class GoldenReport:
     unmatched_generated: list = field(default_factory=list)
     sign_notes: list = field(default_factory=list)
 
-    @property
-    def clean(self):
-        return not self.discrepancies and not self.unmatched_generated
-
 
 def _forced_zero_derivatives(equations, targets):
     """Which of `targets` are forced to vanish by the equations?  Every opaque
@@ -690,7 +686,7 @@ def transform_system(sys, Tr):
     system's right-hand sides, written in the new coordinates
     (_coordinate_change); likewise for v*."""
     tprime, to_new = _coordinate_change(Tr)
-    image = [to_new(manifold_restrict(_total_raw(m, T), sys) / tprime)
+    image = [to_new(manifold_restrict(total_derivative(m, T), sys) / tprime)
              for m in (Tr.u_map.sym, Tr.v_map.sym)]
     return _fit_template(image)
 

@@ -1,8 +1,8 @@
-"""Vector fields on (t, x, u, v), total derivatives on second-order jet
-space, and the second prolongation of a point-symmetry generator, whose
-coefficients are built and normalized only when an equation uses them.
-A field's action, the total derivative and the prolonged action return raw
-sympy; the caller normalizes once.
+"""Vector fields on (t, x, u, v), the total derivative on jet space, and the
+second prolongation of a point-symmetry generator, whose coefficients are
+built and normalized only when an equation uses them.  A field's action,
+the one total derivative (total_derivative, raw sympy in and out) and the
+prolonged action return raw sympy; the caller normalizes once.
 
 What depends on one operator or one expression only is computed once per
 process: a field keeps its one prolongation (VectorField.prolonged), and
@@ -83,24 +83,10 @@ class VectorField:
                 f"eta1={self.eta1.sym}, eta2={self.eta2.sym})")
 
 
-def total_derivative(e, wrt):
-    """Total derivative D_t or D_x, as raw sympy, of an expression with jet
-    variables of order <= 1 only (so the result stays within the order-2 jet
-    space)."""
-    s = ex.as_sym(e)
-    if isinstance(wrt, str):
-        wrt = {"t": T, "x": X}[wrt]
-    for j in ex.jets_in(s):
-        if sum(ex._jet_index(j)[1:]) >= 2:
-            raise JetOrderError(
-                f"input has order-2 jet {j}; total derivative "
-                "would leave the supported jet space")
-    return _total_raw(s, wrt)
-
-
-def _total_raw(s, wrt):
-    """Unchecked total derivative on raw sympy: the chain rule runs through
-    every jet variable of s, up to the internal order-3 x-jets."""
+def total_derivative(s, wrt):
+    """The total derivative D_t (wrt=T) or D_x (wrt=X) of raw sympy s, as raw
+    sympy: the chain rule runs through every jet variable of s, up to the
+    internal order-3 x-jets.  Raises JetOrderError past them."""
     dt, dx = (1, 0) if wrt == T else (0, 1)
     out = _partial(s, wrt)
     for j in ex.jets_in(s):
@@ -144,9 +130,10 @@ class ProlongedField:
             # phi_tt = D_t(phi_t), phi_tx = D_x(phi_t), phi_xx = D_x(phi_x)
             var, pt, px = (X, nt, nx - 1) if nx else (T, nt - 1, nx)
             xi0, xi1 = self.base.xi0.sym, self.base.xi1.sym
-            self._raw[key] = (_total_raw(self._raw_coeff(dep, pt, px), var)
-                              - jet(dep, pt + 1, px) * _total_raw(xi0, var)
-                              - jet(dep, pt, px + 1) * _total_raw(xi1, var))
+            self._raw[key] = (
+                total_derivative(self._raw_coeff(dep, pt, px), var)
+                - jet(dep, pt + 1, px) * total_derivative(xi0, var)
+                - jet(dep, pt, px + 1) * total_derivative(xi1, var))
         return self._raw[key]
 
 

@@ -87,9 +87,6 @@ class GridState:
     def v(self):
         return self.uv[1]
 
-    def is_finite(self):
-        return bool(np.isfinite(self.uv).all())
-
 
 @dataclass(frozen=True)
 class BCSpec:

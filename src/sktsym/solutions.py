@@ -42,7 +42,7 @@ def logistic_system(source_id, a, b, d1, d2):
     variables: u*_t = d1 [u*v*]_xx + u*(a b + b1 v*) with b1 = -/+ b d1 (and
     the v*-equation with d2, b2 = -/+ b d2)."""
     sign = -1 if source_id == MINUS else 1
-    a, b, d1, d2 = [ex.as_expression(z) for z in (a, b, d1, d2)]
+    a, b, d1, d2 = [ex.as_sym(z) for z in (a, b, d1, d2)]
     return SKTSystem.make(d12=d1, d21=d2, a1=a * b, a2=a * b,
                           c1=-sign * b * d1, b2=-sign * b * d2)
 
@@ -254,7 +254,8 @@ def sample_points(sol, bindings, points=20, seed=0):
     rng = random.Random(seed)
     out = []
     attempts = 0
-    probe = (sol.u_expr + sol.v_expr) * (sol.u_expr - sol.v_expr)
+    u, v = sol.u_expr.sym, sol.v_expr.sym
+    probe = ex.normalize((u + v) * (u - v))
     while len(out) < points and attempts < 200 * points:
         attempts += 1
         pt = {**bindings, T: rng.uniform(0.1, 1.0), X: rng.uniform(0.1, 3.0)}
@@ -355,7 +356,7 @@ def _operator_profile(Xf):
     eta2 = -eta1 with F = l1 cos x + l2 sin x, through the linear layer
     (_linear_expand)."""
     c = Xf.xi1.sym
-    if (not Xf.xi0.is_zero or (Xf.eta1 + Xf.eta2).sym != 0
+    if (not Xf.xi0.is_zero or not ex.iszero(Xf.eta1.sym + Xf.eta2.sym)
             or c.has(T, X, U, V) or c == 0):
         raise SolutionError("operator outside the supported reduction family")
     F = ex.normalize(Xf.eta1.sym * (U - V) / c)
@@ -535,18 +536,6 @@ def parse_solution_file(text, name="solution"):
         name=vals.get("name", name), system_id=vals.get("system", MINUS),
         u_expr=ex.parse(vals["u"]), v_expr=ex.parse(vals["v"]),
         branch=vals.get("branch", UPPER), constraints=cons)
-
-
-def render_solution_file(sol):
-    lines = ["[solution]",
-             f"name = {sol.name}",
-             f"system = {sol.system_id}",
-             f"branch = {sol.branch}",
-             f"u = {ex.render(sol.u_expr)}",
-             f"v = {ex.render(sol.v_expr)}"]
-    if sol.constraints:
-        lines.append("constraints = " + "; ".join(c.render() for c in sol.constraints))
-    return "\n".join(lines) + "\n"
 
 
 def verification_csv(rows):

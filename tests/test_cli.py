@@ -345,6 +345,25 @@ class TestBadInputIsAUsageError:
         assert err.splitlines() == [
             f"error: binding value {value!r} is not finite"]
 
+    @pytest.mark.parametrize("value", ["1/0", "nan", "oo", "-oo"])
+    def test_endpoint_that_is_not_finite(self, capsys, value):
+        for flag in ("--x0", "--x1"):
+            code, out, err = run(capsys, "flux-check", "--family", "3-7",
+                                 "--bind", "lambda2=0", f"{flag}={value}")
+            assert (code, out) == (2, "")
+            assert err.splitlines() == ["error: --x0/--x1 is not finite"]
+
+    def test_argv_value_is_not_evaluated_as_python(self, capsys):
+        payload = "__import__('builtins').print('EVALUATED') or 1"
+        for argv, message in (
+                (("--x1", payload), "cannot parse --x0/--x1"),
+                (("--bind", f"p={payload}"),
+                 f"cannot parse binding value {payload!r}")):
+            code, out, err = run(capsys, "flux-check", "--family", "3-7",
+                                 "--bind", "lambda2=0", *argv)
+            assert (code, out) == (2, "")
+            assert err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("name", ["x", "t", "u_x"])
     def test_bind_of_a_variable(self, capsys, tmp_path, name):
         # binding x would make the family x-free and pass the flux check

@@ -87,7 +87,6 @@ class TestGenerateDetermining:
 
 class TestGoldenComparison:
     def test_generated_set_matches_reference(self, golden_report):
-        assert golden_report.clean
         assert not golden_report.discrepancies
         assert not golden_report.unmatched_generated
         assert len(golden_report.matches) == 17

@@ -124,10 +124,9 @@ class TestExpressionType:
             e.sym = None
 
     def test_arithmetic_operators(self):
-        e = ex.parse("u")
-        assert (e + 1) - 1 == e
-        assert e * 2 / 2 == e
-        assert (e ** 2).sym == U ** 2
+        # an Expression is a record: values combine as raw sympy
+        with pytest.raises(TypeError):
+            ex.parse("u") + 1
 
     def test_parameter_is_plain_symbol(self):
         p = ex.parameter("alpha1")
@@ -245,7 +244,7 @@ class TestCollectJet:
         groups = ex.collect_jet(e)
         keys = set(groups)
         assert ux ** 2 in keys and ux * vx in keys
-        assert ex.normalize(groups[ux ** 2] - (U + 1)).is_zero
+        assert ex.normalize(groups[ux ** 2].sym - (U + 1)).is_zero
 
     @pytest.mark.parametrize("text", [
         "u_x/(1 + u_xx)", "exp(u_x)", "sqrt(u_x)", "u_x^-1"])

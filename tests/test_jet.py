@@ -18,19 +18,19 @@ VX = ex.jet(2, 0, 1)
 
 class TestTotalDerivative:
     def test_base_variable(self):
-        assert ex.normalize(total_derivative(ex.normalize(U), X)) == ex.normalize(UX)
+        assert ex.normalize(total_derivative(U, X)) == ex.normalize(UX)
 
     def test_product_rule(self):
         e = ex.normalize(U * V)
         expect = ex.normalize(UX * V + U * VX)
-        assert ex.normalize(total_derivative(e, X)) == expect
+        assert ex.normalize(total_derivative(e.sym, X)) == expect
 
     def test_explicit_x_dependence(self):
         e = ex.normalize(X * U)
-        assert ex.normalize(total_derivative(e, X)) == ex.normalize(U + X * UX)
+        assert ex.normalize(total_derivative(e.sym, X)) == ex.normalize(U + X * UX)
 
     def test_time_direction(self):
-        assert ex.normalize(total_derivative(ex.normalize(U), T)) == ex.normalize(UT)
+        assert ex.normalize(total_derivative(U, T)) == ex.normalize(UT)
 
 
 class TestProlongation:
@@ -59,9 +59,9 @@ class TestProlongation:
         P = prolong2(VectorField.make("0", "0", "u", "v"))
         a = ex.normalize(U * UX)
         b = ex.normalize(V ** 2)
-        lhs = ex.normalize(apply_prolonged(P, a * b))
-        rhs = (ex.normalize(apply_prolonged(P, a)) * b
-               + a * ex.normalize(apply_prolonged(P, b)))
+        lhs = ex.normalize(apply_prolonged(P, a.sym * b.sym))
+        rhs = ex.normalize(ex.normalize(apply_prolonged(P, a)).sym * b.sym
+                           + a.sym * ex.normalize(apply_prolonged(P, b)).sym)
         assert lhs == rhs
 
 
@@ -230,5 +230,5 @@ class TestCommutator:
         b = VectorField.make("0", "1", "u", "0")
         ab = commutator(a, b)
         ba = commutator(b, a)
-        assert ab.xi0 == -ba.xi0 and ab.xi1 == -ba.xi1
-        assert ab.eta1 == -ba.eta1 and ab.eta2 == -ba.eta2
+        assert ab.xi0 == -ba.xi0.sym and ab.xi1 == -ba.xi1.sym
+        assert ab.eta1 == -ba.eta1.sym and ab.eta2 == -ba.eta2.sym

@@ -116,6 +116,19 @@ class TestResidual:
         a = so.sample_points(fam, binds, points=5, seed=9)
         b = so.sample_points(fam, binds, points=5, seed=9)
         assert a == b
+        # the (t, x) points at seed 9: reduced-c rejects the fourth draw
+        draws = [(0.5167066220335194, 1.182604601045622),
+                 (0.2246854712630097, 2.61302936496039),
+                 (0.105791548673011, 1.5580680321514042),
+                 (0.9084681730287443, 0.33436247683070297),
+                 (0.5988434213604574, 1.8882851237824936),
+                 (0.1368061889363304, 1.1991568527467635)]
+        pinned = {"family-trig": draws[:5], "family-exp": draws[:5],
+                  "reduced-c": draws[:3] + draws[4:]}
+        for fid, want in pinned.items():
+            pts = so.sample_points(so.builtin_family(fid),
+                                   self.NUMERIC_BINDINGS[fid], points=5, seed=9)
+            assert [(pt[T], pt[X]) for pt in pts] == want, fid
 
 
 class TestConstraints:
@@ -169,7 +182,8 @@ class TestReduction:
         expected = [ex.normalize(sp.diff(p1, T) + 2 * p2),
                     ex.normalize(p1 * sp.diff(p1, T) + 2 * sp.diff(p2, T))]
         for want in expected:
-            assert any((o - want).is_zero or (o + want).is_zero
+            assert any(ex.iszero(o.sym - want.sym)
+                       or ex.iszero(o.sym + want.sym)
                        for o in ansatz.reduced)
 
     def test_only_time_derivatives(self, ansatz):
@@ -219,10 +233,26 @@ class TestLogisticMap:
 
 
 class TestSerialization:
+    # family-trig as a solution file, in the grammar that expr.render writes
+    TRIG_FILE = (
+        "[solution]\n"
+        "name = family-trig\n"
+        "system = 3-2\n"
+        "branch = upper\n"
+        "u = (-alpha1*alpha2*exp(alpha1*t) - alpha1 + alpha2*sqrt(alpha1^2 "
+        "+ 4*lambda1*p*cos(x) + 4*lambda2*p*sin(x))*exp(alpha1*t) - "
+        "sqrt(alpha1^2 + 4*lambda1*p*cos(x) + 4*lambda2*p*sin(x)))"
+        "/(2*alpha2*exp(alpha1*t) - 2)\n"
+        "v = (-alpha1*alpha2*exp(alpha1*t) - alpha1 - alpha2*sqrt(alpha1^2 "
+        "+ 4*lambda1*p*cos(x) + 4*lambda2*p*sin(x))*exp(alpha1*t) + "
+        "sqrt(alpha1^2 + 4*lambda1*p*cos(x) + 4*lambda2*p*sin(x)))"
+        "/(2*alpha2*exp(alpha1*t) - 2)\n"
+        "constraints = nonzero -alpha2*exp(alpha1*t) + 1; nonneg alpha1^2 "
+        "+ 4*lambda1*p*cos(x) + 4*lambda2*p*sin(x)\n")
+
     def test_solution_file_roundtrip(self):
         fam = so.builtin_family("family-trig")
-        text = so.render_solution_file(fam)
-        back = so.parse_solution_file(text)
+        back = so.parse_solution_file(self.TRIG_FILE)
         assert back.u_expr == fam.u_expr
         assert back.v_expr == fam.v_expr
         assert back.system_id == fam.system_id
