@@ -18,7 +18,12 @@ factors in plain dicts instead of sympy's Factors.  Each cancellation is
 one polynomial gcd with cofactors.  A literal division by zero (sympy's zoo
 or nan) raises ZeroDenominatorError in normalize and iszero, as a
 denominator that cancels to zero does.  sympy supplies the polynomial
-arithmetic underneath; this module owns the atom discipline, the grammar,
+arithmetic underneath, in sparse PolyRings: one reader (_ring_read), a
+memoized walk of the tree with Add, Mul and integer powers as ring
+arithmetic, builds every polynomial the zero test, the cancellation, the
+relations and the linear layer's parameter splits use, in the ring sp.sring
+would build but without expanding the tree through sympy first.  This
+module owns the atom discipline, the grammar, the ring reader,
 the one zero test (iszero), the one jet-monomial splitter (collect_jet),
 which normalizes each coefficient but never the whole input, and the one
 numeric evaluator (eval_numeric), shared by the sample checks, the
@@ -48,6 +53,10 @@ import sympy as sp
 from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
 from sympy.core.mul import _keep_coeff
+from sympy.polys.constructor import construct_domain
+from sympy.polys.domains import ComplexField, RealField
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyRing
 
 
 class ExprError(Exception):
@@ -342,43 +351,221 @@ def _replace_atoms(e, table, canon):
     return out
 
 
+# ---------------------------------------------------------------------------
+# ring reader: raw sympy into a sparse polynomial ring by one tree walk
+
+def _power_base(node):
+    """The generator and exponent a factor is read as (decompose_power), a
+    negative exponent going to the reciprocal: u**-2 is (1/u)**2."""
+    base, k = decompose_power(node)
+    if k < 0:
+        return sp.Pow(base, -1), -k
+    return base, k
+
+
+def _is_ground_number(node):
+    return node.is_Rational or node.is_Float or node is sp.I
+
+
+def _scan(exprs):
+    """The first pass of a free reading: the generators met, in the order
+    _sort_gens gives them; the domain its leaves call for (RR or CC for a
+    Float, QQ_I for I, QQ for a fraction, ZZ otherwise); and the expansion
+    of each node that is not ring arithmetic."""
+    found, expanded, leaves = {}, {}, set()
+
+    @functools.cache
+    def scan(node):
+        if _is_ground_number(node):
+            leaves.add(node)
+        elif node.is_Symbol:
+            found[node] = None
+        elif node.is_Add or node.is_Mul:
+            for a in node.args:
+                scan(a)
+        elif node.is_Pow and node.exp.is_Integer and node.exp > 0:
+            scan(node.base)
+        else:
+            new = expanded[node] = sp.expand(node)
+            if new != node:
+                scan(new)
+            else:
+                found[_power_base(node)[0]] = None
+
+    for e in exprs:
+        scan(e)
+    floats = [n._prec for n in leaves if n.is_Float]
+    imaginary = sp.I in leaves
+    if floats:
+        prec = max(floats)
+        domain = (ComplexField(prec=prec) if imaginary
+                  else RealField(prec=prec))
+    elif imaginary:
+        domain = sp.QQ_I
+    elif any(not n.is_Integer for n in leaves):
+        domain = sp.QQ
+    else:
+        domain = sp.ZZ
+    return _sort_gens(found), domain, expanded
+
+
+def _narrow(R, polys):
+    """The ring sring would build for these elements: over only the
+    generators that occur, and over the domain construct_domain gives their
+    coefficients (ZZ for integral QQ)."""
+    monoms = [m for p in polys for m in p]
+    used = [i for i in range(R.ngens) if any(m[i] for m in monoms)]
+    K = domain = R.domain
+    coeffs = [c for p in polys for c in p.values()]
+    if K == sp.QQ_I:
+        domain = construct_domain([K.to_sympy(c) for c in coeffs] or [0])[0]
+    elif K == sp.QQ and all(c.denominator == 1 for c in coeffs):
+        domain = sp.ZZ
+    if len(used) == R.ngens and domain == K:
+        return R, polys
+    S = PolyRing([R.symbols[i] for i in used], domain)
+    return S, [S.dtype({tuple(m[i] for i in used): domain.from_sympy(K.to_sympy(c))
+                        for m, c in p.items()}) for p in polys]
+
+
+def _ring_read(exprs, gens=None, domain=None):
+    """Raw sympy expressions as elements of one sparse PolyRing, from a
+    bottom-up walk that reads each distinct node once: a Symbol is a
+    generator and a number a ground element; Add, Mul and a power to a
+    positive integer are ring arithmetic.  Any other node is expanded once
+    (sp.expand) and the result read in its place if that changes it, else
+    it is a generator: its base under decompose_power to that power, so
+    exp(2*x) is exp(x)**2 and u**-2 is (1/u)**2.  No sympy tree is expanded
+    as a whole.
+
+    Without gens the ring is the one sp.sring would build: the generators
+    that occur in the result in _sort_gens order, over ZZ or QQ as the
+    coefficients need, RR (CC) when a leaf is a Float (and I) and a
+    Gaussian domain for I.  Generators that print alike keep the order
+    they were met in, where sring's is that of a set.  With gens the ring
+    is over them and `domain`, and every other node must be an element of
+    that domain; one that is not raises NotPolynomialError.  Returns
+    (ring, elements)."""
+    free = gens is None
+    if free:
+        gens, domain, expanded = _scan(exprs)
+    else:
+        expanded = {}
+    R = PolyRing(gens, domain)
+    index = dict(zip(gens, R.gens))
+
+    def ground(node):
+        try:
+            return R.ground_new(domain.convert(node))
+        except sp.polys.polyerrors.BasePolynomialError as exc:
+            raise NotPolynomialError(f"not polynomial over the generators: {exc}") from exc
+
+    @functools.cache
+    def read(node):
+        if node.is_Add:
+            acc = {}
+            zero = domain.zero
+            for a in node.args:
+                for monom, c in read(a).items():
+                    c = acc.get(monom, zero) + c
+                    if c:
+                        acc[monom] = c
+                    else:
+                        acc.pop(monom, None)
+            p = R.dtype(acc)
+        elif node.is_Mul:
+            args = iter(node.args)
+            p = read(next(args))
+            for a in args:
+                p = p * read(a)
+        elif node in index:
+            p = index[node]
+        elif node.is_Pow and node.exp.is_Integer and node.exp > 0:
+            p = read(node.base) ** node.exp.p
+        elif _is_ground_number(node) or node.is_Symbol:
+            p = ground(node)
+        else:
+            new = expanded.get(node)
+            if new is None:
+                new = sp.expand(node)
+            if new != node:
+                p = read(new)
+            else:
+                base, k = _power_base(node)
+                if base in index:
+                    p = index[base] ** k
+                else:
+                    p = ground(node)
+        return p
+
+    polys = [read(e) for e in exprs]
+    return _narrow(R, polys) if free else (R, polys)
+
+
+def _ring_relations(exprs, table):
+    """exprs read in one ring (_ring_read) together with the table's
+    relations sqrt(R)**2 = R and sin(A)**2 = 1 - cos(A)**2.  Returns the ring,
+    the elements and a function that reduces an element by the relations:
+    it rewrites every monomial g**k -> g**(k%2) * rel**(k//2) until no
+    relation generator has degree 2 or more, and returns its argument itself
+    when nothing reduces.  The normal form does not depend on the order of
+    the rewrites, since each relation has its own leading generator."""
+    rels = [*table.sqrt_rad.items(),
+            *((s, 1 - c ** 2) for s, c in table.sin_pair.items())]
+    R, polys = _ring_read([*exprs, *(rel for _, rel in rels)])
+    index = {g: i for i, g in enumerate(R.symbols)}
+    rules = {index[g]: p for (g, _), p in zip(rels, polys[len(exprs):])
+             if g in index}
+
+    @functools.cache
+    def power(i, k):
+        return rules[i] ** k
+
+    def reduce(p):
+        while True:
+            acc, changed = {}, False
+            for monom, c in p.items():
+                hit = [i for i in rules if monom[i] >= 2]
+                if hit:
+                    changed = True
+                    monom = list(monom)
+                    term = R.one
+                    for i in hit:
+                        k, monom[i] = divmod(monom[i], 2)
+                        term = term * power(i, k)
+                    items = term.mul_term((tuple(monom), c)).items()
+                else:
+                    items = ((monom, c),)
+                for m, v in items:
+                    v = acc.pop(m, 0) + v
+                    if v:
+                        acc[m] = v
+            if not changed:
+                return p
+            p = R.dtype(acc)
+
+    return R, polys[:len(exprs)], reduce
+
+
 def _reduce_relations(e, table):
-    """Reduce even powers of sqrt/sin generators via their relations in an
-    expanded polynomial; the result is expanded too."""
-    changed = True
-    while changed:
-        changed = False
-        for w, rad in table.sqrt_rad.items():
-            if e.has(w):
-                new = _reduce_power(e, w, rad)
-                if new is not None:
-                    e = new
-                    changed = True
-        for s, c in table.sin_pair.items():
-            if e.has(s):
-                new = _reduce_power(e, s, 1 - c ** 2)
-                if new is not None:
-                    e = new
-                    changed = True
-    return e
-
-
-def _reduce_power(e, g, sq):
-    """Rewrite g**k -> g**(k%2) * sq**(k//2) throughout; None if no change."""
-    pows = [p for p in e.atoms(sp.Pow)
-            if p.base == g and p.exp.is_Integer and p.exp >= 2]
-    if not pows:
-        return None
-    subs = {p: g ** (int(p.exp) % 2) * sq ** (int(p.exp) // 2) for p in pows}
-    return sp.expand(e.xreplace(subs))
+    """e, an expanded polynomial in the table's generators, with every even
+    power of a sqrt/sin generator reduced by its relation, in the ring
+    (_ring_relations) and mapped back expanded.  Returns e itself when
+    nothing reduces."""
+    if not table.sqrt_rad and not table.sin_pair:
+        return e
+    _, (p,), reduce = _ring_relations([e], table)
+    q = reduce(p)
+    return e if q is p else q.as_expr()
 
 
 def _cancel(n, d, table, assumptions):
     """n/d in lowest terms as a (numerator, denominator) pair, from one gcd
-    with cofactors.  A nonconstant gcd is recorded as a nonzero assumption
-    (monic over a field, as sp.gcd returns it); the pair is normalized as
-    sp.cancel normalizes it."""
-    R, (f, g) = sp.sring((n, d))
+    with cofactors.  The pair is read in one ring (_ring_read), the ring
+    sp.sring would build.  A nonconstant gcd is recorded as a nonzero
+    assumption (monic over a field, as sp.gcd returns it); the pair is
+    normalized as sp.cancel normalizes it."""
+    R, (f, g) = _ring_read((n, d))
     if not R.ngens:
         return sp.fraction(sp.cancel(n / d))
     dom = R.domain
@@ -681,20 +868,24 @@ def normalize(e, assumptions=frozenset()):
     return Expression(out, frozenset(assumptions) | frozenset(acc))
 
 
-# iszero's atom -> generator map, kept across calls so that sympy's cache
-# serves the expansions that repeat between checks.  normalize() draws fresh
-# generators: it maps its nested results back through its own table.
+# iszero's atom -> generator map, kept across calls: an atom then keeps its
+# generator from check to check, so the trees that _replace_atoms and
+# _together build repeat and sympy's cache serves them (iszero expands no
+# tree of its own).  A fresh map per call gives the same verdicts, slower.
+# normalize() draws fresh generators: it maps its nested results back through
+# its own table.
 _ISZERO_GENERATORS = {}
 
 
 def iszero(e, assumptions=None):
     """The zero test: whether e vanishes identically on its domain
     (denominators and radicands assumed nonzero).  No canonical form is
-    built and nothing is expanded first: atoms become generators (the same
+    built and no sympy tree is expanded: atoms become generators (the same
     _replace_atoms as normalize(), so exponentials merge as monomials), the
     expression is brought over one common denominator (_together, sympy's
-    together without its Factors), and only the numerator is reduced by the
-    relations that normalize() uses.
+    together without its Factors), and only the numerator is read into a
+    ring by the kernel's tree walk, with the relations that normalize() uses
+    (_ring_relations).  It is zero exactly when its reduced element is 0.
     `assumptions` is an output set, as in _canon_core: when e vanishes, its
     common denominator is added to it unless that is a number.  The verdict
     does not depend on it.  Raises ZeroDenominatorError, as normalize()
@@ -712,8 +903,8 @@ def iszero(e, assumptions=None):
     table = _AtomTable(_ISZERO_GENERATORS)
     sym = _replace_atoms(sym, table, canon)
     n, d = sp.fraction(_together(sym))
-    # the reduced expansion is zero only when it is 0
-    if _reduce_relations(sp.expand(n), table) != 0:
+    _, (p,), reduce = _ring_relations([n], table)
+    if reduce(p):
         return False
     if assumptions is not None and not d.is_Number:
         assumptions.add(d.xreplace(table.back))

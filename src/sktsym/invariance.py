@@ -227,12 +227,11 @@ def _param_polys(nums, gens):
     """The ring of polynomials in gens over one parameter field (the rational
     functions of the symbols other than t, x, u, v and the generators), and
     nums as its elements: one sparse ring for every coefficient reading.
-    Raises NotPolynomialError if some num is not of that form."""
+    The nums are read by the kernel's tree walk (ex._ring_read), in which
+    every symbol outside gens is a ground element of the field.  Raises
+    NotPolynomialError if some num is not of that form."""
     syms = set().union(*(n.free_symbols for n in nums)) - _VARIABLES - set(gens)
-    try:
-        return sp.sring(nums, *gens, domain=_param_field(syms))
-    except sp.polys.polyerrors.BasePolynomialError as exc:
-        raise ex.NotPolynomialError(f"not polynomial over the parameters: {exc}") from exc
+    return ex._ring_read(nums, gens, _param_field(syms))
 
 
 def _split_solve(eqs, unknowns, gens=None):

@@ -54,9 +54,6 @@ class Constraint:
     kind: str
     expr: Expression
 
-    def render(self):
-        return f"{self.kind} {ex.render(self.expr)}"
-
     @classmethod
     def parse(cls, text):
         kind, _, rest = text.strip().partition(" ")

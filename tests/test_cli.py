@@ -353,6 +353,14 @@ class TestBadInputIsAUsageError:
             assert (code, out) == (2, "")
             assert err.splitlines() == ["error: --x0/--x1 is not finite"]
 
+    def test_negative_symbolic_endpoint_in_the_equals_form(self, capsys):
+        # argparse reads "--x0 -pi/2" as two options; "--x0=-pi/2" is one
+        code, out, err = run(capsys, "flux-check", "--family", "3-7",
+                             "--bind", "lambda2=0", "--x0=-pi/2")
+        assert code != 2
+        assert out.startswith("flux check for family-trig on (-pi/2, pi):")
+        assert err == ""
+
     def test_argv_value_is_not_evaluated_as_python(self, capsys):
         payload = "__import__('builtins').print('EVALUATED') or 1"
         for argv, message in (

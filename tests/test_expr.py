@@ -390,6 +390,67 @@ class TestCancel:
         assert out.assumptions == frozenset({X - 1})
 
 
+def _ring_parts(ring, polys):
+    return ring.symbols, ring.domain, [dict(p) for p in polys]
+
+
+# the leaves and nodes a reading must take as sp.sring takes them
+_READER_CASES = [
+    2 ** (X - 2),                        # expands to 2**x/4
+    sp.Float(0.5) * U + V,               # a Float leaf: RR
+    U ** _A,                             # a symbolic power is a generator
+    1 / (U + 1),                         # the reciprocal is the generator
+    U ** -2,                             # ... to the second power
+    (_W + 1) * (U - _W) ** 2 / 3,        # an atom Dummy, QQ
+    (U + 1) ** 2 - U ** 2 - 2 * U,       # generators that cancel out
+]
+
+
+class TestRingReader:
+    """The kernel's one tree walk builds the ring sp.sring builds: the same
+    generators in the same order, the same domain and the same elements."""
+
+    @pytest.mark.parametrize("e", _READER_CASES)
+    def test_hand_cases_match_sring(self, e):
+        assert _ring_parts(*ex._ring_read([e])) == _ring_parts(*sp.sring([e]))
+
+    def test_cancelled_pairs_of_a_catalog_entry_match_sring(self, monkeypatch):
+        pairs, cancel = [], ex._cancel
+
+        def spy(n, d, table, assumptions):
+            pairs.append((n, d))
+            return cancel(n, d, table, assumptions)
+
+        monkeypatch.setattr(ex, "_cancel", spy)
+        Catalog.load().validate_all(keys=[(2, 4)])
+        assert len(pairs) > 20
+        for pair in pairs:
+            assert (_ring_parts(*ex._ring_read(pair))
+                    == _ring_parts(*sp.sring(pair)))
+
+    def test_given_generators_over_a_parameter_field(self):
+        nums = [_A * U ** 2 + sp.exp(T) * _B / (_A + 1), U * V - _A / _B]
+        gens = [U, V, sp.exp(T)]
+        field = sp.ZZ.frac_field(_A, _B)
+        assert (_ring_parts(*ex._ring_read(nums, gens, field))
+                == _ring_parts(*sp.sring(nums, *gens, domain=field)))
+        for e in (sp.sqrt(U), 1 / U, T * U):
+            with pytest.raises(ex.NotPolynomialError):
+                ex._ring_read([e], gens, field)
+
+    def test_zero_test_expands_no_polynomial_node(self, monkeypatch):
+        calls, expand = [], ex.sp.expand
+
+        def spy(e, *args, **kwargs):
+            calls.append(e)
+            return expand(e, *args, **kwargs)
+
+        monkeypatch.setattr(ex.sp, "expand", spy)
+        p = (U + V) ** 6
+        assert ex.iszero(p - expand(p))
+        assert calls == []
+
+
 def _powsimp(e):
     return sp.powsimp(e, combine="exp", deep=True)
 
