@@ -27,9 +27,10 @@ module owns the atom discipline, the grammar, the ring reader,
 the one zero test (iszero), the one jet-monomial splitter (collect_jet),
 which normalizes each coefficient but never the whole input, and the one
 numeric evaluator (eval_numeric), shared by the sample checks, the
-simulator and the residual oracle.  It translates an expression once into
-nested closures (compile_numeric), in numpy double precision or, for mpmath
-bindings, in mpmath at the working precision, and calls them.
+simulator and the residual oracle.  It translates an expression once into a
+straight-line program with one step per distinct node (compile_numeric), in
+numpy double precision or, for mpmath bindings, in mpmath at the working
+precision, and runs it.
 
 Every value enters the kernel through one of two entry points: as_sym gives
 its raw sympy form and as_expression its Expression.  Both read a string with
@@ -1138,48 +1139,46 @@ def _least(val):
     return val.min() if isinstance(val, np.ndarray) else val
 
 
-def _translate(node, guard, prec):
-    """`node` as nested closures over an environment {Symbol: value}, in
-    numpy (prec None) or in mpmath with constants rounded to `prec` bits.
-    Sums fold from 0 and products from 1.0, left to right over the
-    arguments, and the guards are tested when the closure is called."""
+def _step(node, guard, prec, at):
+    """The step that computes `node` from the value list `vals` (`at` maps a
+    node to its slot there) and the environment {Symbol: value}."""
     if node.is_Number or node.is_NumberSymbol:
         const = float(node) if prec is None else node._to_mpmath(prec)
-        return lambda env: const
+        return lambda vals, env: const
     if node.is_Symbol:
-        def symbol(env):
+        def symbol(vals, env):
             try:
                 return env[node]
             except KeyError:
                 raise UnboundSymbolError(f"unbound symbol {node}")
         return symbol
     if node.is_Add:
-        terms = tuple(_translate(a, guard, prec) for a in node.args)
+        terms = tuple(at(a) for a in node.args)
 
-        def add(env):
+        def add(vals, env):
             out = 0
-            for f in terms:
-                out = out + f(env)
+            for i in terms:
+                out = out + vals[i]
             return out
         return add
     if node.is_Mul:
-        factors = tuple(_translate(a, guard, prec) for a in node.args)
+        factors = tuple(at(a) for a in node.args)
 
-        def mul(env):
+        def mul(vals, env):
             out = 1.0
-            for f in factors:
-                out *= f(env)
+            for i in factors:
+                out *= vals[i]
             return out
         return mul
     if node.is_Pow:
-        base, expo = _translate(node.base, guard, prec), node.exp
+        base, expo = at(node.base), node.exp
         if expo.is_Integer:
             k = int(expo)
             if k >= 0:
-                return lambda env: base(env) ** k
+                return lambda vals, env: vals[base] ** k
 
-            def reciprocal(env):
-                b = base(env)
+            def reciprocal(vals, env):
+                b = vals[base]
                 if _least(abs(b)) < guard:
                     raise GuardViolation("denominator below guard", node.base)
                 return b ** k
@@ -1187,22 +1186,52 @@ def _translate(node, guard, prec):
         if expo.is_Rational and expo.q == 2:
             half = float(expo)   # k/2, exact in both
 
-            def root(env):
-                b = base(env)
+            def root(vals, env):
+                b = vals[base]
                 if _least(b) < guard:
                     raise GuardViolation("sqrt radicand below guard", node.base)
                 return b ** half
             return root
-        power = _translate(expo, guard, prec)
-        return lambda env: base(env) ** power(env)
+        power = at(expo)
+        return lambda vals, env: vals[base] ** vals[power]
     if node.func in _NUMERIC_HEADS:
         head = getattr(mpmath if prec else np, _NUMERIC_HEADS[node.func])
-        arg = _translate(node.args[0], guard, prec)
-        return lambda env: head(arg(env))
+        arg = at(node.args[0])
+        return lambda vals, env: head(vals[arg])
 
-    def unknown(env):
+    def unknown(vals, env):
         raise UnboundSymbolError(f"cannot evaluate {node}")
     return unknown
+
+
+def _translate(sym, guard, prec):
+    """`sym` as a straight-line program over an environment {Symbol: value},
+    in numpy (prec None) or in mpmath with constants rounded to `prec` bits.
+    The program has one step per distinct node of the tree, in
+    first-occurrence post-order, and a call fills the value list once, so a
+    subexpression that occurs k times is evaluated once.  Each step keeps
+    the tree walk's arithmetic: sums fold from 0 and products from 1.0, left
+    to right over the arguments, so every value is the tree walk's to the
+    bit.  A guard is tested when its step runs, and the steps run in the
+    order the tree walk first meets their nodes, so the first guard or
+    unbound symbol to trip is the one the tree walk would meet first."""
+    slots, steps = {}, []
+
+    def at(node):
+        if node not in slots:
+            step = _step(node, guard, prec, at)
+            slots[node] = len(steps)
+            steps.append(step)
+        return slots[node]
+
+    at(sym)
+
+    def run(env):
+        vals = []
+        for step in steps:
+            vals.append(step(vals, env))
+        return vals[-1]
+    return run
 
 
 @functools.lru_cache(maxsize=256)
@@ -1216,11 +1245,12 @@ def _as_float(val):
 
 def compile_numeric(e, guard=1e-12):
     """The numeric evaluator, compiled: the returned function evaluates `e`
-    at a bindings dict as eval_numeric does, through nested closures
-    translated once (in numpy, cached per expression and guard; in mpmath,
-    kept by the function per working precision)."""
+    at a bindings dict as eval_numeric does, through a straight-line
+    program over its distinct nodes (_translate), translated once (in numpy,
+    cached per expression and guard; in mpmath, kept by the function per
+    working precision)."""
     sym = as_sym(e)
-    precise = {}   # working precision -> the mpmath closures
+    precise = {}   # working precision -> the mpmath program
 
     def evaluate(bindings):
         if any(isinstance(val, mpmath.mpf) for val in bindings.values()):

@@ -31,9 +31,11 @@ _HIGHER_JETS = ex._JET_SET - {U, V}
 def _partial(s, var):
     """sp.diff(s, var) for raw sympy s, kept per (s, var): the partials of
     a system's S_raw(k) are taken once for all the operators checked on it,
-    and those of an operator coefficient once for all its brackets.  The key
-    is raw sympy, whose equality is structural.  A catalog validation takes
-    655 distinct partials, and at this bound it misses no repeated one."""
+    those of an operator coefficient once for all its brackets, and the
+    jets of a solution family once for its symbolic and numeric residuals
+    (solutions._jet_bindings).  The key is raw sympy, whose equality is
+    structural.  A catalog validation takes 655 distinct partials, and at
+    this bound it misses no repeated one."""
     return sp.diff(s, var)
 
 

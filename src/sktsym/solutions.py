@@ -6,6 +6,7 @@ checks and the logistic change of variables."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import random
 from dataclasses import dataclass, replace
@@ -14,7 +15,8 @@ import mpmath
 import sympy as sp
 
 from . import expr as ex
-from .expr import Expression, T, U, V, X, jet
+from . import jet
+from .expr import Expression, T, U, V, X
 from .invariance import SKTSystem, _linear_expand, _scale_free_key
 
 
@@ -141,12 +143,26 @@ def _sqrt_pair(name, system_id, mean, radicand, branch, constraints):
 
 
 def builtin_family(fid, branch=UPPER, system_id=None, func=None):
-    """Return a built-in family by id.
+    """Return a built-in family by id, built once per process.
 
     `func` instantiates the arbitrary-function slot of the steady-state
     families (an expression in x; defaults to the first test-basis entry).
-    `system_id` selects the target system for the steady families."""
-    fid = _ALIASES.get(fid, fid)
+    `system_id` selects the target system for the steady families.
+
+    A family is kept per resolved id (an alias shares its family's entry),
+    branch, system_id and func, with func keyed as raw sympy plus its
+    assumptions: a string and the equal Expression share an entry, and no
+    lookup runs iszero, as Expression equality would.  A family is frozen,
+    so every caller shares the one object.  An id or argument that does not
+    give a family raises on every call."""
+    g = None if func is None else ex.as_expression(func)
+    return _build_family(_ALIASES.get(fid, fid), branch, system_id,
+                         None if g is None else (g.sym, g.assumptions))
+
+
+@functools.lru_cache(maxsize=128)
+def _build_family(fid, branch, system_id, func):
+    """builtin_family's family for a resolved id and func key."""
     a1, a2, p, l1, l2 = _A1, _A2, _P, _L1, _L2
     t, x = T, X
     if fid == "seed-ode":
@@ -174,7 +190,8 @@ def builtin_family(fid, branch=UPPER, system_id=None, func=None):
         sid = system_id or MINUS
         if sid not in (MINUS, PLUS):
             raise SolutionError(f"steady families target {MINUS} or {PLUS}")
-        g = ex.as_expression(func if func is not None else STEADY_TEST_BASIS[0])
+        g = (ex.as_expression(STEADY_TEST_BASIS[0]) if func is None
+             else Expression(*func))
         if g.has(T) or ex.jets_in(g.sym):
             raise SolutionError("function slot must depend on x only")
         if fid == "steady-ratio":
@@ -223,13 +240,19 @@ def builtin_family(fid, branch=UPPER, system_id=None, func=None):
 def _jet_bindings(sol):
     """Raw sympy values for the jet symbols along the family (normalization
     deferred to the final residual, which is much cheaper than normalizing
-    each derivative separately)."""
+    each derivative separately).  Every jet is a first partial taken by
+    jet._partial, u_xx as the x-partial of u_x: sympy simplifies a
+    derivative of order 2 taken at once (factor_terms), which costs more
+    than the derivative and which the zero test does not need.  The
+    partials are kept per expression, so residual and residual_numeric of
+    one family take them once."""
     u, v = sol.u_expr.sym, sol.v_expr.sym
     b = {U: u, V: v}
     for dep, e in ((1, u), (2, v)):
-        b[jet(dep, 1, 0)] = sp.diff(e, T)
-        b[jet(dep, 0, 1)] = sp.diff(e, X)
-        b[jet(dep, 0, 2)] = sp.diff(e, X, 2)
+        e_x = jet._partial(e, X)
+        b[ex.jet(dep, 1, 0)] = jet._partial(e, T)
+        b[ex.jet(dep, 0, 1)] = e_x
+        b[ex.jet(dep, 0, 2)] = jet._partial(e_x, X)
     return b
 
 

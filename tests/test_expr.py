@@ -219,6 +219,58 @@ class TestEvalNumeric:
         with mpmath.workdps(30), pytest.raises(ex.GuardViolation):
             ex.eval_numeric(ex.parse("1/(x - 1)"), {X: mpmath.mpf(1)})
 
+    @staticmethod
+    def _at(e, vals, precise):
+        """eval_numeric at float bindings, or at them as mpf at 30 digits."""
+        if not precise:
+            return ex.eval_numeric(e, vals)
+        with mpmath.workdps(30):
+            return ex.eval_numeric(e, {k: mpmath.mpf(v) for k, v in vals.items()})
+
+    @pytest.mark.parametrize("precise", [False, True], ids=["float", "mpf"])
+    def test_each_subexpression_is_evaluated_once(self, monkeypatch, precise):
+        # the head is bound when the expression is translated, so the spy is
+        # in place before this expression (its symbols used nowhere else) is
+        # first compiled; the tree holds four copies of exp(x)
+        lib = mpmath if precise else np
+        real, calls = lib.exp, []
+        monkeypatch.setattr(lib, "exp", lambda z: calls.append(z) or real(z))
+        ys = sp.symbols("once_y1:5")
+        e = sp.Add(*[sp.exp(X) * (y + k) for k, y in enumerate(ys)])
+        vals = {X: 0.5, **{y: 0.25 for y in ys}}
+        for n in (1, 2):
+            got = self._at(e, vals, precise)
+            assert len(calls) == n
+            assert abs(got - math.exp(0.5) * 7.0) < 1e-12
+
+    # (expression, the zero denominator the tree walk meets first): each
+    # denominator is shared by several terms, and the printed order puts the
+    # other one first
+    SHARED_DENOMINATORS = [
+        (T / (U - V) + X / (U - V) + 1 / (U ** 2 - V ** 2), U ** 2 - V ** 2),
+        (T * X / (U ** 2 - V ** 2) + T / (U - V) ** 2 + X / (U ** 2 - V ** 2)
+         + 1 / (U - V), U - V),
+    ]
+
+    @pytest.mark.parametrize("precise", [False, True], ids=["float", "mpf"])
+    @pytest.mark.parametrize("e, first", SHARED_DENOMINATORS)
+    def test_shared_zero_denominator_trips_where_the_tree_walk_does(
+            self, e, first, precise):
+        vals = {U: 1.0, V: 1.0, X: 0.5, T: 0.2}
+        with pytest.raises(ex.GuardViolation) as err:
+            self._at(e, vals, precise)
+        assert err.value.subexpr == first
+        assert str(err.value) == f"denominator below guard: {first}"
+
+    @pytest.mark.parametrize("precise", [False, True], ids=["float", "mpf"])
+    def test_first_unbound_symbol_is_the_tree_walks(self, precise):
+        # sqrt(b) comes first in the sum's arguments, though a sorts first
+        a, b = sp.symbols("a b")
+        e = sp.sqrt(b) + a * X
+        assert e.args[0] == sp.sqrt(b)
+        with pytest.raises(ex.UnboundSymbolError, match="^unbound symbol b$"):
+            self._at(e, {X: 1.0}, precise)
+
     @pytest.mark.parametrize("text", [
         "sqrt(u^2 + 1)*exp(-x/3) + sin(t)^3/(2 + cos(x*u))",
         "exp(t + x/2)/sqrt(1 + x^2)^3 - cos(3*t)*sqrt(2*u + v)",

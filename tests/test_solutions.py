@@ -3,6 +3,7 @@ import pytest
 import sympy as sp
 
 from sktsym import expr as ex
+from sktsym import jet
 from sktsym import solutions as so
 from sktsym.expr import T, X
 from sktsym.invariance import SKTSystem
@@ -19,6 +20,32 @@ class TestFamilies:
     def test_unknown_id_raises(self):
         with pytest.raises(so.SolutionError):
             so.builtin_family("no-such-family")
+
+    def test_each_family_is_built_once(self, monkeypatch):
+        fam = so.builtin_family("family-exp")
+        assert so.builtin_family("family-exp") is fam
+        assert so.builtin_family("3-6") is fam
+        assert so.builtin_family("family-3-6", branch="upper") is fam
+        ratio = so.builtin_family("steady-ratio", func="1+x^2")
+        g = ex.as_expression("1+x^2")
+        calls = []
+        real = ex.iszero
+        monkeypatch.setattr(ex, "iszero",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert so.builtin_family("steady-ratio", func="1+x^2") is ratio
+        assert so.builtin_family("steady-ratio", func=g) is ratio
+        assert calls == []
+        monkeypatch.undo()
+        assert so.builtin_family("family-exp", branch="lower") is not fam
+        assert so.builtin_family("family-exp", branch="lower").branch == "lower"
+        plus = so.builtin_family("steady-ratio", system_id=so.PLUS, func=g)
+        assert plus is not ratio and plus.system_id == so.PLUS
+        assert so.builtin_family("steady-ratio", func="2+sin(x)") is not ratio
+        for _ in range(2):
+            with pytest.raises(so.SolutionError):
+                so.builtin_family("no-such-family")
+            with pytest.raises(so.SolutionError):
+                so.builtin_family("steady-ratio", system_id="3-9")
 
     def test_branch_swap(self):
         up = so.builtin_family("family-trig", branch="upper")
@@ -55,6 +82,38 @@ class TestResidual:
         r1, r2 = so.residual(wrong, fam)
         assert not (r1.is_zero and r2.is_zero)
         assert calls == []
+
+    def test_every_jet_is_a_kept_first_partial(self, monkeypatch):
+        # residual takes each derivative of order one through jet._partial;
+        # residual_numeric of the same family then takes none afresh
+        fam = so.builtin_family("family-exp")
+        binds = self.NUMERIC_BINDINGS["family-exp"]
+        jet._partial.cache_clear()
+        real_partial, real_diff = jet._partial, sp.diff
+        inside, diffs = [], []
+
+        def partial(s, var):
+            inside.append(var)
+            try:
+                return real_partial(s, var)
+            finally:
+                inside.pop()
+
+        def diff(*args, **kwargs):
+            diffs.append((len(args), bool(kwargs), bool(inside)))
+            return real_diff(*args, **kwargs)
+
+        monkeypatch.setattr(jet, "_partial", partial)
+        monkeypatch.setattr(sp, "diff", diff)
+        r1, r2 = so.residual(fam.system(), fam)
+        assert r1.is_zero and r2.is_zero
+        first = list(diffs)
+        # u_t, u_x, u_xx and the same of v
+        assert len(first) == 6
+        assert all(d == (2, False, True) for d in first)
+        worst, _ = so.residual_numeric(fam.system(), fam, binds, points=2)
+        assert worst < 1e-10
+        assert diffs == first
 
     def test_numeric_oracle_independent(self):
         fam = so.builtin_family("family-trig")
