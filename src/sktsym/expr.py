@@ -17,20 +17,21 @@ sympy's together, the same output down to its srepr, with the terms'
 factors in plain dicts instead of sympy's Factors.  Each cancellation is
 one polynomial gcd with cofactors.  A literal division by zero (sympy's zoo
 or nan) raises ZeroDenominatorError in normalize and iszero, as a
-denominator that cancels to zero does.  sympy supplies the polynomial
-arithmetic underneath, in sparse PolyRings: one reader (_ring_read), a
-memoized walk of the tree with Add, Mul and integer powers as ring
-arithmetic, builds every polynomial the zero test, the cancellation, the
-relations and the linear layer's parameter splits use, in the ring sp.sring
-would build but without expanding the tree through sympy first.  This
-module owns the atom discipline, the grammar, the ring reader,
-the one zero test (iszero), the one jet-monomial splitter (collect_jet),
-which normalizes each coefficient but never the whole input, and the one
-numeric evaluator (eval_numeric), shared by the sample checks, the
-simulator and the residual oracle.  It translates an expression once into a
-straight-line program with one step per distinct node (compile_numeric), in
-numpy double precision or, for mpmath bindings, in mpmath at the working
-precision, and runs it.
+denominator that cancels to zero does; in the same walk of their input
+each Float becomes its exact binary value, so every ring is exact.  sympy
+supplies the polynomial arithmetic underneath, in sparse PolyRings: one
+reader (_ring_read), a memoized walk of the tree with Add, Mul and integer
+powers as ring arithmetic, builds every polynomial the zero test, the
+cancellation, the relations and the linear layer's parameter splits use,
+in the ring sp.sring would build but without expanding the tree through
+sympy first.  This module owns the atom discipline, the grammar, the ring
+reader, the one zero test (iszero), the one jet-monomial splitter
+(collect_jet), which normalizes each coefficient but never the whole input,
+and the one numeric evaluator (eval_numeric), shared by the sample checks,
+the simulator and the residual oracle.  It translates an expression once
+into a straight-line program with one step per distinct node
+(compile_numeric), in numpy double precision or, for mpmath bindings, in
+mpmath at the working precision, and runs it.
 
 Every value enters the kernel through one of two entry points: as_sym gives
 its raw sympy form and as_expression its Expression.  Both read a string with
@@ -55,7 +56,6 @@ from sympy.core.exprtools import decompose_power
 from sympy.core.function import AppliedUndef
 from sympy.core.mul import _keep_coeff
 from sympy.polys.constructor import construct_domain
-from sympy.polys.domains import ComplexField, RealField
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyRing
 
@@ -365,20 +365,23 @@ def _power_base(node):
 
 
 def _is_ground_number(node):
-    return node.is_Rational or node.is_Float or node is sp.I
+    return node.is_Rational or node is sp.I
 
 
 def _scan(exprs):
     """The first pass of a free reading: the generators met, in the order
-    _sort_gens gives them; the domain its leaves call for (RR or CC for a
-    Float, QQ_I for I, QQ for a fraction, ZZ otherwise); and the expansion
-    of each node that is not ring arithmetic."""
+    _sort_gens gives them; the domain its leaves call for (QQ_I for I, QQ
+    for a fraction, ZZ otherwise); and the expansion of each node that is
+    not ring arithmetic.  The rings are exact: a Float leaf raises
+    ExprError (normalize and iszero make every Float exact on entry)."""
     found, expanded, leaves = {}, {}, set()
 
     @functools.cache
     def scan(node):
         if _is_ground_number(node):
             leaves.add(node)
+        elif node.is_Float:
+            raise ExprError(f"a Float in an exact ring: {node}")
         elif node.is_Symbol:
             found[node] = None
         elif node.is_Add or node.is_Mul:
@@ -395,13 +398,7 @@ def _scan(exprs):
 
     for e in exprs:
         scan(e)
-    floats = [n._prec for n in leaves if n.is_Float]
-    imaginary = sp.I in leaves
-    if floats:
-        prec = max(floats)
-        domain = (ComplexField(prec=prec) if imaginary
-                  else RealField(prec=prec))
-    elif imaginary:
+    if sp.I in leaves:
         domain = sp.QQ_I
     elif any(not n.is_Integer for n in leaves):
         domain = sp.QQ
@@ -432,21 +429,21 @@ def _narrow(R, polys):
 def _ring_read(exprs, gens=None, domain=None):
     """Raw sympy expressions as elements of one sparse PolyRing, from a
     bottom-up walk that reads each distinct node once: a Symbol is a
-    generator and a number a ground element; Add, Mul and a power to a
-    positive integer are ring arithmetic.  Any other node is expanded once
-    (sp.expand) and the result read in its place if that changes it, else
-    it is a generator: its base under decompose_power to that power, so
-    exp(2*x) is exp(x)**2 and u**-2 is (1/u)**2.  No sympy tree is expanded
-    as a whole.
+    generator and a rational or I a ground element; Add, Mul and a power
+    to a positive integer are ring arithmetic.  Any other node is expanded
+    once (sp.expand) and the result read in its place if that changes it,
+    else it is a generator: its base under decompose_power to that power,
+    so exp(2*x) is exp(x)**2 and u**-2 is (1/u)**2.  No sympy tree is
+    expanded as a whole.
 
     Without gens the ring is the one sp.sring would build: the generators
     that occur in the result in _sort_gens order, over ZZ or QQ as the
-    coefficients need, RR (CC) when a leaf is a Float (and I) and a
-    Gaussian domain for I.  Generators that print alike keep the order
-    they were met in, where sring's is that of a set.  With gens the ring
-    is over them and `domain`, and every other node must be an element of
-    that domain; one that is not raises NotPolynomialError.  Returns
-    (ring, elements)."""
+    coefficients need and a Gaussian domain for I.  The rings are exact:
+    a Float leaf raises ExprError.  Generators that print alike keep the
+    order they were met in, where sring's is that of a set.  With gens the
+    ring is over them and `domain`, and every other node must be an
+    element of that domain; one that is not raises NotPolynomialError.
+    Returns (ring, elements)."""
     free = gens is None
     if free:
         gens, domain, expanded = _scan(exprs)
@@ -829,18 +826,33 @@ class Expression:
         return self.sym.has(*syms)
 
 
-def _check_finite(sym):
-    """Raise ZeroDenominatorError if sympy already evaluated a division by
-    zero in sym (a literal 1/0 or 0/0 becomes zoo or nan)."""
-    if sym.has(sp.zoo, sp.nan):
-        raise ZeroDenominatorError(f"division by zero in {sym}")
+def _exact_finite(sym):
+    """sym as the exact kernel takes it, from one walk of its tree: each
+    Float leaf is replaced by its exact binary value (sp.Rational(f), so
+    0.1 is 3602879701896397/2**55, not 1/10, and every numeric value stays
+    the same to the bit), and a division by zero that sympy already
+    evaluated (a literal 1/0 or 0/0 becomes zoo or nan) raises
+    ZeroDenominatorError.  Returns sym itself when it holds no Float."""
+    floats = {}
+    stack = [sym]
+    while stack:
+        node = stack.pop()
+        if node.args:
+            stack.extend(node.args)
+        elif node is sp.zoo or node is sp.nan:
+            raise ZeroDenominatorError(f"division by zero in {sym}")
+        elif node.is_Float:
+            floats[node] = sp.Rational(node)
+    return sym.xreplace(floats) if floats else sym
 
 
 def as_sym(value):
     """The raw sympy form of a value entering the kernel: an Expression gives
     its sym, a string is read by the toolkit grammar (parse_sym) and is never
     evaluated as Python, and anything else goes to sp.sympify.  Expressions
-    have no arithmetic, so values are combined in this form."""
+    have no arithmetic, so values are combined in this form.  A plain
+    coercion: a Float stays a Float here; the kernel's entries (normalize
+    and iszero) make it exact."""
     if isinstance(value, Expression):
         return value.sym
     if isinstance(value, str):
@@ -858,12 +870,13 @@ def as_expression(value):
 
 def normalize(e, assumptions=frozenset()):
     """Canonicalize a value (through as_sym) into an Expression, keeping the
-    assumptions of an Expression input.  Raises ZeroDenominatorError if a
-    denominator is identically zero."""
+    assumptions of an Expression input.  Each Float is read as its exact
+    binary value first (_exact_finite), so 0.5*x + x/2 is x and the result
+    holds no Float.  Raises ZeroDenominatorError if a denominator is
+    identically zero."""
     if isinstance(e, Expression):
         assumptions = frozenset(assumptions) | e.assumptions
-    e = as_sym(e)
-    _check_finite(e)
+    e = _exact_finite(as_sym(e))
     acc = set()
     out = _canon_core(e, acc)
     return Expression(out, frozenset(assumptions) | frozenset(acc))
@@ -889,10 +902,10 @@ def iszero(e, assumptions=None):
     (_ring_relations).  It is zero exactly when its reduced element is 0.
     `assumptions` is an output set, as in _canon_core: when e vanishes, its
     common denominator is added to it unless that is a number.  The verdict
-    does not depend on it.  Raises ZeroDenominatorError, as normalize()
-    does, if e holds a division by zero."""
-    sym = as_sym(e)
-    _check_finite(sym)
+    does not depend on it.  Each Float is read as its exact binary value
+    first, as in normalize() (_exact_finite).  Raises ZeroDenominatorError,
+    as normalize() does, if e holds a division by zero."""
+    sym = _exact_finite(as_sym(e))
     if sym == 0:
         return True
 

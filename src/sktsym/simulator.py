@@ -121,7 +121,10 @@ class SolverConfig:
 
 
 def _numeric_params(sys, bindings=None):
-    """The system's parameters as floats, by expr.eval_numeric."""
+    """The system's parameters as floats, by expr.eval_numeric: a frozenset
+    of (name, value) items.  A frozenset keeps its hash, so each RHS call
+    finds the cached coefficient arrays (_coefficients) without hashing the
+    items again."""
     vals = {}
     for k, e in sys.params().items():
         try:
@@ -129,7 +132,7 @@ def _numeric_params(sys, bindings=None):
         except ex.UnboundSymbolError:
             raise SimulatorError(f"parameter {k} = {e.sym} is not numeric; "
                                  "supply bindings")
-    return vals
+    return frozenset(vals.items())
 
 
 def field_functions(sol, bindings):
@@ -162,15 +165,15 @@ _PAIRS = (("d1", "d2"), ("d11", "d21"), ("d12", "d22"),
 
 
 @lru_cache(maxsize=64)
-def _coefficients(items, n, width):
+def _coefficients(params, n, width):
     """Each pair of _PAIRS, then max_diffusivity's (2 d11, d21), (d12, 2 d22)
     and (d12, d21), as a two-row array: the u equation's value fills row 0
     and the v equation's row 1.  The first three span the ghost buffer,
     n + 2 width cells, and the rest the n cells.  Whole rows rather than
     (2, 1) columns, because numpy is about twice as fast on same-shape
-    operands at these sizes.  Cached per parameter items, n and width; the
-    arrays are shared and read-only."""
-    c = dict(items)
+    operands at these sizes.  Cached per parameters (_numeric_params), n
+    and width; the arrays are shared and read-only."""
+    c = dict(params)
     pairs = [(c[a], c[b]) for a, b in _PAIRS] + [(2 * c["d11"], c["d21"]),
                                                  (c["d12"], 2 * c["d22"]),
                                                  (c["d12"], c["d21"])]
@@ -212,14 +215,13 @@ def discretize_rhs(sys, grid, state, bc, params=None, first_order=False):
     dv/dt (so `du, dv = discretize_rhs(...)` unpacks it).  Both rows are
     formed at once: the second difference of the composite fields
     P = (d1 + d11 u + d12 v) u and Q = (d2 + d21 u + d22 v) v over one ghost
-    buffer, plus the reaction terms, added in place.  `params` is the dict
-    of _numeric_params.  `first_order` swaps in a one-sided
+    buffer, plus the reaction terms, added in place.  `params` are those of
+    _numeric_params.  `first_order` swaps in a one-sided
     first-difference-of-first-difference stencil (deliberately lower order,
     for negative controls)."""
     c = params if params is not None else _numeric_params(sys)
     width = 2 if first_order else 1
-    d0, du, dv, growth, own, cross = _coefficients(
-        tuple(c.items()), grid.n, width)[:6]
+    d0, du, dv, growth, own, cross = _coefficients(c, grid.n, width)[:6]
     g = _ghost(state, grid, bc, width)
     F = du * g[0]
     F += d0
@@ -246,8 +248,7 @@ def discretize_rhs(sys, grid, state, bc, params=None, first_order=False):
 def max_diffusivity(c, u, v):
     """The largest entry of |dP/du|, |dQ/dv|, |dP/dv| and |dQ/du| over the
     cells, which bounds the explicit step."""
-    d0, *_, dmax_u, dmax_v, cross = _coefficients(tuple(c.items()),
-                                                  np.size(u), 0)
+    d0, *_, dmax_u, dmax_v, cross = _coefficients(c, np.size(u), 0)
     own = np.abs((d0 + dmax_u * u) + dmax_v * v)
     return float(max(own.max(), np.abs(cross * (u, v)).max()))
 

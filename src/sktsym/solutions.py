@@ -330,7 +330,10 @@ def group_orbit(sol, p, lam1=None, lam2=None, generator="X1"):
     lam1*Z_a + lam2*Z_b on a solution pair:
         u* = (u+v)/2 + (1/2) sqrt((u-v)^2 + 4 p profile(x)),
         v* = (u+v)/2 - (1/2) sqrt(...)
-    (signs per branch).  p = 0 is the identity on both branches."""
+    (signs per branch).  p = 0 is the identity on both branches.  p, lam1
+    and lam2 enter through normalize, so a float is its exact binary value:
+    group_orbit(sol, 0.25, 0.5, 0.75) is the orbit at 1/4, 1/2 and 3/4, and
+    no output holds a Float."""
     if generator not in _GENERATOR_PROFILE:
         raise SolutionError(f"unknown generator id {generator!r}")
     if (generator == "X1") != (sol.system_id == MINUS):

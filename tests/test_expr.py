@@ -160,6 +160,24 @@ class TestCoercion:
         assert isinstance(ex.as_sym(0.5), sp.Float)
 
 
+class TestFloatPolicy:
+    """normalize and iszero read each Float as its exact binary value."""
+
+    def test_float_terms_combine_exactly(self):
+        assert ex.normalize(0.5 * X + X / 2).sym == X
+
+    def test_exact_binary_value_not_the_decimal(self):
+        out = ex.normalize(sp.Float(0.1)).sym
+        assert out == sp.Rational(0.1)
+        assert out == sp.Rational(3602879701896397, 36028797018963968)
+        assert out != sp.Rational(1, 10)
+        assert ex.eval_numeric(out, {}) == 0.1
+
+    def test_nan_still_raises(self):
+        with pytest.raises(ex.ZeroDenominatorError):
+            ex.normalize(float("nan"))
+
+
 class TestEvalNumeric:
     def test_simple_value(self):
         e = ex.parse("u^2 + v")
@@ -449,7 +467,6 @@ def _ring_parts(ring, polys):
 # the leaves and nodes a reading must take as sp.sring takes them
 _READER_CASES = [
     2 ** (X - 2),                        # expands to 2**x/4
-    sp.Float(0.5) * U + V,               # a Float leaf: RR
     U ** _A,                             # a symbolic power is a generator
     1 / (U + 1),                         # the reciprocal is the generator
     U ** -2,                             # ... to the second power
@@ -479,6 +496,10 @@ class TestRingReader:
         for pair in pairs:
             assert (_ring_parts(*ex._ring_read(pair))
                     == _ring_parts(*sp.sring(pair)))
+
+    def test_float_leaf_raises(self):
+        with pytest.raises(ex.ExprError):
+            ex._ring_read([sp.Float(0.5) * U + V])
 
     def test_given_generators_over_a_parameter_field(self):
         nums = [_A * U ** 2 + sp.exp(T) * _B / (_A + 1), U * V - _A / _B]

@@ -218,6 +218,22 @@ class TestGroupOrbit:
         r1, r2 = so.residual(out.system(), out)
         assert r1.is_zero and r2.is_zero
 
+    def test_float_arguments_are_their_exact_values(self):
+        seed = so.builtin_family("seed-ode")
+        a = so.group_orbit(seed, 0.25, 0.5, 0.75, generator="X1")
+        b = so.group_orbit(seed, sp.Rational(1, 4), sp.Rational(1, 2),
+                           sp.Rational(3, 4), generator="X1")
+        assert sp.srepr(a.u_expr.sym) == sp.srepr(b.u_expr.sym)
+        assert sp.srepr(a.v_expr.sym) == sp.srepr(b.v_expr.sym)
+        assert ([(c.kind, sp.srepr(c.expr.sym)) for c in a.constraints]
+                == [(c.kind, sp.srepr(c.expr.sym)) for c in b.constraints])
+
+    def test_float_parameter_leaves_no_float(self):
+        seed = so.builtin_family("seed-ode")
+        out = so.group_orbit(seed, 0.1, generator="X1")
+        for e in (out.u_expr, out.v_expr, *(c.expr for c in out.constraints)):
+            assert not e.sym.atoms(sp.Float)
+
     def test_generator_system_mismatch_rejected(self):
         seed = so.builtin_family("seed-ode")      # lives on the -uv system
         with pytest.raises(so.SolutionError):
