@@ -6,7 +6,7 @@ The canonical form is a cancelled rational function whose numerator and
 denominator are expanded polynomials over the declared symbols and atoms,
 reduced by the atom relations
 
-    sqrt(R)**2 -> R
+    sqrt(R)**2 -> R          (and sqrt(0) -> 0)
     sin(A)**2  -> 1 - cos(A)**2
 
 with sqrt/sin factors rationalized out of denominators.  Exponentials need no
@@ -22,8 +22,9 @@ each Float becomes its exact binary value, so every ring is exact.  sympy
 supplies the polynomial arithmetic underneath, in sparse PolyRings: one
 reader (_ring_read), a memoized walk of the tree with Add, Mul and integer
 powers as ring arithmetic, builds every polynomial the zero test, the
-cancellation, the relations and the linear layer's parameter splits use,
-in the ring sp.sring would build but without expanding the tree through
+canonical form (read once, cancelled, reduced and rationalized in that
+ring, then made a tree) and the linear layer's parameter splits use, in
+the ring sp.sring would build but without expanding the tree through
 sympy first.  This module owns the atom discipline, the grammar, the ring
 reader, the one zero test (iszero), the one jet-monomial splitter
 (collect_jet), which normalizes each coefficient but never the whole input,
@@ -209,28 +210,16 @@ def _int_square_split(n):
 
 
 def _canon_sqrt(base, canon):
-    """Canonicalize a sqrt radicand: cancel, clear denominator, pull out the
-    rational square content.  Returns (coefficient, radicand)."""
-    base = canon(base)
-    n, d = sp.fraction(sp.cancel(base))
-    if d != 1:
-        base = sp.expand(n * d)
-        pre = sp.Rational(1) / d
-    else:
-        base = sp.expand(n)
-        pre = sp.Integer(1)
-    if base.is_Rational:
-        content, prim = base, sp.Integer(1)
-    else:
-        try:
-            content, prim = sp.primitive(base)
-        except (sp.PolynomialError, sp.polys.polyerrors.ComputationFailed):
-            content, prim = sp.Integer(1), base
-    s, r = _square_split(content)
-    r = sp.Integer(r) if not isinstance(r, sp.Basic) else r
-    if r.is_negative:
-        r, prim = -r, -prim
-    return pre * s, r, sp.expand(prim)
+    """Canonicalize a sqrt radicand: clear the denominator of its canonical
+    form, which is cancelled, and pull the rational square content out of
+    its ring element.  Returns (coefficient, r, radicand), r a squarefree
+    integer (0 for a zero radicand): sqrt(base) = coefficient * sqrt(r) *
+    sqrt(radicand)."""
+    n, d = sp.fraction(canon(base))
+    R, (p,) = _ring_read([n * d])
+    content, p = p.primitive()
+    s, r = _square_split(R.domain.to_sympy(content))
+    return s / d, r, sp.expand(p.as_expr())
 
 
 class _AtomTable:
@@ -258,7 +247,8 @@ def _replace_atoms(e, table, canon):
     an exp, sin or cos and a sqrt radicand are canonicalized as expressions
     of their own before their atoms are replaced, so that an atom gets one
     key however its argument was written.  A subtree that recurs (the same
-    exponential in many terms) is replaced once.
+    exponential in many terms) is replaced once.  A sqrt of a zero radicand
+    is 0 (ZeroDenominatorError in a denominator).
 
     An exponential splits into powers of generators exp(m/q), one for each
     primitive direction m (the exponent's terms without their rational
@@ -277,6 +267,11 @@ def _replace_atoms(e, table, canon):
         """exp(c*m) for a rational c = p/q, as exp(m/q)**p."""
         denominators.setdefault(m, set()).add(c.q)
         return exp_gen(m / c.q) ** c.p
+
+    def nonzero(node, new):
+        if new is sp.zoo:  # only a zero radicand makes a node zero
+            raise ZeroDenominatorError(f"zero radicand in denominator: {node}")
+        return new
 
     @functools.cache
     def rec(node):
@@ -317,6 +312,8 @@ def _replace_atoms(e, table, canon):
             # radicand so sqrt(2)*sqrt(p) and sqrt(2*p) share generators
             coeff, num_sf, rad = _canon_sqrt(node.base, canon)
             k = int(node.exp.p)
+            if not num_sf:
+                return nonzero(node, sp.Integer(0) ** k)
             out = rec(coeff) ** k
             if num_sf != 1:
                 wn = table.gen(sp.sqrt(num_sf), sp.sqrt(num_sf))
@@ -334,7 +331,7 @@ def _replace_atoms(e, table, canon):
             args = [rec(a) for a in node.args]
             if all(new is old for new, old in zip(args, node.args)):
                 return node
-            return node.func(*args)
+            return nonzero(node, node.func(*args))
         if isinstance(node, sp.Function):
             raise ExprError(f"unsupported function head: {node.func}")
         return node
@@ -502,7 +499,8 @@ def _ring_read(exprs, gens=None, domain=None):
 
 def _ring_relations(exprs, table):
     """exprs read in one ring (_ring_read) together with the table's
-    relations sqrt(R)**2 = R and sin(A)**2 = 1 - cos(A)**2.  Returns the ring,
+    relations sqrt(R)**2 = R and sin(A)**2 = 1 - cos(A)**2, the one reading
+    of the zero test and the canonical form.  Returns the ring,
     the elements and a function that reduces an element by the relations:
     it rewrites every monomial g**k -> g**(k%2) * rel**(k//2) until no
     relation generator has degree 2 or more, and returns its argument itself
@@ -545,38 +543,26 @@ def _ring_relations(exprs, table):
     return R, polys[:len(exprs)], reduce
 
 
-def _reduce_relations(e, table):
-    """e, an expanded polynomial in the table's generators, with every even
-    power of a sqrt/sin generator reduced by its relation, in the ring
-    (_ring_relations) and mapped back expanded.  Returns e itself when
-    nothing reduces."""
-    if not table.sqrt_rad and not table.sin_pair:
-        return e
-    _, (p,), reduce = _ring_relations([e], table)
-    q = reduce(p)
-    return e if q is p else q.as_expr()
-
-
-def _cancel(n, d, table, assumptions):
-    """n/d in lowest terms as a (numerator, denominator) pair, from one gcd
-    with cofactors.  The pair is read in one ring (_ring_read), the ring
-    sp.sring would build.  A nonconstant gcd is recorded as a nonzero
-    assumption (monic over a field, as sp.gcd returns it); the pair is
-    normalized as sp.cancel normalizes it."""
-    R, (f, g) = _ring_read((n, d))
-    if not R.ngens:
-        return sp.fraction(sp.cancel(n / d))
-    dom = R.domain
+def _cancel(f, g, table, assumptions):
+    """f/g in lowest terms as a (numerator, denominator) pair in the ring of
+    f and g, from one gcd with cofactors in the ring sp.sring would build
+    for the pair (_narrow), which has no generators for constants.  A
+    nonconstant gcd is recorded as a nonzero assumption (monic over a
+    field, as sp.gcd returns it); the pair is normalized as sp.cancel
+    normalizes it."""
+    R = f.ring
+    S, (f, g) = _narrow(R, [f, g])
+    dom = S.domain
     if dom.is_Field and dom.has_assoc_Ring:
         # cofactors over the ring, rescaled by the reduced denominators
-        ZR = R.clone(domain=dom.get_ring())
+        ZR = S.clone(domain=dom.get_ring())
         cq, f = f.clear_denoms()
         cp, g = g.clear_denoms()
         h, p, q = f.set_ring(ZR).cofactors(g.set_ring(ZR))
         _, cp, cq = ZR.domain.cofactors(cp, cq)
-        h = h.set_ring(R).monic()
-        p = p.set_ring(R).mul_ground(cp)
-        q = q.set_ring(R).mul_ground(cq)
+        h = h.set_ring(S).monic()
+        p = p.set_ring(S).mul_ground(cp)
+        q = q.set_ring(S).mul_ground(cq)
     else:
         h, p, q = f.cofactors(g)
     if not h.is_ground:
@@ -584,7 +570,7 @@ def _cancel(n, d, table, assumptions):
     u = q.canonical_unit()
     if u != dom.one:
         p, q = p.mul_ground(u), q.mul_ground(u)
-    return sp.fraction(p.as_expr() / q.as_expr())
+    return p.set_ring(R), q.set_ring(R)
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +723,12 @@ def _canon_core(e, assumptions):
     """The full canonicalization pipeline on a raw sympy expression: expand,
     replace atoms by generators (which merges exponentials, _replace_atoms),
     bring it over one common denominator (_together, sympy's together
-    without its Factors), cancel, reduce by the relations and
-    rationalize the denominator.  Each cancellation is one gcd with
-    cofactors (_cancel); the second runs only when there are sqrt/sin
-    generators, whose relations and conjugates can reintroduce a common
-    factor."""
+    without its Factors) and read that pair once, with the relations
+    (_ring_relations).  In that ring: cancel, reduce by the relations and
+    rationalize the denominator, each conjugate d0 - d1*g recorded in sympy
+    form.  Each cancellation is one gcd with cofactors (_cancel); the second
+    runs only when there are sqrt/sin generators, whose relations and
+    conjugates can reintroduce a common factor.  The tree is built last."""
     if e.is_Number:
         return e
 
@@ -754,35 +741,35 @@ def _canon_core(e, assumptions):
     table = _AtomTable()
     e = _replace_atoms(e, table, canon)
 
-    n, d = _cancel(*sp.fraction(_together(e)), table, assumptions)
-    n = _reduce_relations(n, table)
-    d = _reduce_relations(d, table)
-    if d == 0 or sp.expand(d) == 0:
+    R, (n, d), reduce = _ring_relations(sp.fraction(_together(e)), table)
+    n, d = _cancel(n, d, table, assumptions)
+    n, d = reduce(n), reduce(d)
+    if not d:
         raise ZeroDenominatorError("denominator is identically zero")
 
     # rationalize sqrt/sin generators out of the denominator
     lin_gens = list(table.sqrt_rad) + list(table.sin_pair)
+    index = {g: i for i, g in enumerate(R.symbols)}
     progress = True
     while progress:
         progress = False
         for g in lin_gens:
-            if not d.has(g):
+            i = index.get(g)
+            if i is None or d.degree(i) != 1:
                 continue
-            dp = sp.Poly(d, g)
-            if dp.degree() != 1:
-                continue
-            d1, d0 = dp.all_coeffs()
-            conj = d0 - d1 * g
+            d1, d0 = d.coeff_wrt(i, 1), d.coeff_wrt(i, 0)
+            conj = d0.as_expr() - d1.as_expr() * g
             assumptions.add(conj.xreplace(table.back))
-            n = _reduce_relations(sp.expand(n * conj), table)
-            d = _reduce_relations(sp.expand(d * conj), table)
+            conj = d0 - d1 * R.gens[i]
+            n, d = reduce(n * conj), reduce(d * conj)
             progress = True
 
-    if n == 0:
+    if not n:
         return sp.Integer(0)
     if lin_gens:
         # the relations and the conjugates may have left a common factor
         n, d = _cancel(n, d, table, assumptions)
+    n, d = sp.fraction(n.as_expr() / d.as_expr())
     n, d = sp.expand(n), sp.expand(d)
     result = n / d if d != 1 else n
     return result.xreplace(table.back)
@@ -1109,7 +1096,7 @@ def _split_term(term):
 def collect_jet(e):
     """Split e = sum coeff(m) * m over the jet monomials m (u and v stay in
     the coefficients).  Returns a dict keyed by sympy monomials, 1 for the
-    jet-free part, in the order of sp.Poly(e, *jets).terms() (lex,
+    jet-free part, in the order of Poly(e, *jets).terms() (lex,
     descending, jets in ALL_JET_SYMBOLS order).  A coefficient that
     vanishes has no key; an input with no jets gives {1: normalize(e)}.
 

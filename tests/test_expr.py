@@ -397,6 +397,29 @@ class TestZeroDenominator:
             ex.iszero(ex.parse_sym(text))
 
 
+class TestZeroRadicand:
+    """A sqrt whose radicand canonicalizes to zero is the number 0, not a
+    generator W with W**2 = 0."""
+
+    _ZERO = sp.sin(X) ** 2 + sp.cos(X) ** 2 - 1
+
+    def test_iszero(self):
+        assert ex.iszero(sp.sqrt(self._ZERO))
+
+    def test_in_a_denominator_sum_records_nothing(self):
+        out = ex.normalize(1 / (1 + sp.sqrt(self._ZERO)))
+        assert out.sym == 1
+        assert out.assumptions == frozenset()
+
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_in_a_denominator_raises(self, k):
+        e = self._ZERO ** sp.Rational(k, 2)
+        with pytest.raises(ex.ZeroDenominatorError):
+            ex.normalize(e)
+        with pytest.raises(ex.ZeroDenominatorError):
+            ex.iszero(e)
+
+
 def _gcd_then_cancel(n, d):
     """The two-gcd cancellation that _cancel replaces."""
     acc = set()
@@ -408,7 +431,9 @@ def _gcd_then_cancel(n, d):
 
 def _single_gcd(n, d):
     acc = set()
-    return ex._cancel(n, d, ex._AtomTable(), acc), acc
+    _, (f, g) = ex._ring_read((n, d))
+    p, q = ex._cancel(f, g, ex._AtomTable(), acc)
+    return sp.fraction(p.as_expr() / q.as_expr()), acc
 
 
 _A, _B = ex.parameter("a"), ex.parameter("b")
@@ -486,16 +511,16 @@ class TestRingReader:
     def test_cancelled_pairs_of_a_catalog_entry_match_sring(self, monkeypatch):
         pairs, cancel = [], ex._cancel
 
-        def spy(n, d, table, assumptions):
-            pairs.append((n, d))
-            return cancel(n, d, table, assumptions)
+        def spy(f, g, table, assumptions):
+            pairs.append((f, g))
+            return cancel(f, g, table, assumptions)
 
         monkeypatch.setattr(ex, "_cancel", spy)
         Catalog.load().validate_all(keys=[(2, 4)])
         assert len(pairs) > 20
-        for pair in pairs:
-            assert (_ring_parts(*ex._ring_read(pair))
-                    == _ring_parts(*sp.sring(pair)))
+        for f, g in pairs:
+            assert (_ring_parts(*ex._narrow(f.ring, [f, g]))
+                    == _ring_parts(*sp.sring((f.as_expr(), g.as_expr()))))
 
     def test_float_leaf_raises(self):
         with pytest.raises(ex.ExprError):
