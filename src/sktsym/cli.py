@@ -297,9 +297,17 @@ def _cmd_flux_check(args):
     return rep.passed, lines
 
 
+def _relative_drift(m0, m1):
+    """|m1 - m0| / |m0|; inf when a zero mass moved, 0 when it stayed."""
+    d = abs(m1 - m0)
+    return d / abs(m0) if m0 else (math.inf if d else 0.0)
+
+
 def _cmd_simulate(args):
     """The trajectory as CSV, and one stderr line on how the run went: the
-    step count and the smallest and largest step, or the abort reason."""
+    step count, the smallest and largest step, the largest diffusivity over
+    the kept states and the larger relative mass drift of u and v between
+    the first and last kept state; or the abort reason."""
     cp = configparser.ConfigParser()
     with open(args.config) as fh:
         cp.read_file(fh)
@@ -335,7 +343,12 @@ def _cmd_simulate(args):
     else:
         dts = (f", dt min {traj.dt_min:.6g} max {traj.dt_max:.6g}"
                if traj.steps else "")
-        sys.stderr.write(f"{traj.steps} steps{dts}\n")
+        c = sim._numeric_params(system, bindings)
+        dmax = max(sim.max_diffusivity(c, st.u, st.v) for st in traj.states)
+        drift = max(_relative_drift(m0, m1)
+                    for m0, m1 in zip(traj.mass(0), traj.mass()))
+        sys.stderr.write(f"{traj.steps} steps{dts}, max diffusivity "
+                         f"{dmax:.6g}, mass drift {drift:.6g}\n")
     return not traj.aborted, traj.to_csv().rstrip("\n").split("\n")
 
 

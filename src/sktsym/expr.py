@@ -26,7 +26,9 @@ canonical form (read once, cancelled, reduced and rationalized in that
 ring, then made a tree) and the linear layer's parameter splits use, in
 the ring sp.sring would build but without expanding the tree through
 sympy first.  This module owns the atom discipline, the grammar, the ring
-reader, the one zero test (iszero), the one jet-monomial splitter
+reader, the one zero test (iszero), the one partial derivative (partial), a
+chain-rule walk kept per (node, variable) that builds sympy's own evaluated
+diff tree without its Derivative dispatch, the one jet-monomial splitter
 (collect_jet), which normalizes each coefficient but never the whole input,
 and the one numeric evaluator (eval_numeric), shared by the sample checks,
 the simulator and the residual oracle.  It translates an expression once
@@ -1045,10 +1047,63 @@ def render(e):
 # ---------------------------------------------------------------------------
 # calculus / substitution / collection
 
+@functools.lru_cache(maxsize=4096)
+def partial(s, var):
+    """The partial derivative of raw sympy s by var, as raw sympy: the same
+    tree as sp.diff(s, var), down to its srepr, taken once per (node, var).
+    Every derivative the toolkit takes goes through here: the prolongation
+    and the total derivative (jet), the jets of a solution family, the
+    ansatz reduction and the point transformations.  The key is raw sympy,
+    whose equality is structural, so the partials of a system's S_raw(k)
+    serve every operator checked on it, the sqrt(R) of a family is
+    differentiated once however often it occurs, and residual and
+    residual_numeric of one family share its jets.  A catalog validation
+    keeps about 1440 entries; an entry evicted is recomputed as the same
+    tree."""
+    return _chain_rule(s, var)
+
+
+def _chain_rule(s, var):
+    """One step of sympy 1.14's evaluated diff at order 1, on the node s,
+    with each argument's partial taken through the memo (partial).  Each
+    rule builds its result with the constructors sympy's own rule uses:
+    Add term by term; Mul by the Leibniz form of Mul._eval_derivative_n_times
+    (one product per factor, every factor kept), not the pairwise products
+    of Mul._eval_derivative, which build another tree; Pow as
+    s * (dexp*log(base) + dbase*exp/base), with log(base) built only when
+    dexp is not 0, since 0*log(base) is 0 for every base a Pow node holds;
+    exp, sin and cos as Function._eval_derivative does.  Any other head,
+    such as an undefined function or a Derivative, and a var that is not a
+    Symbol, go to sp.diff whole."""
+    if not isinstance(var, sp.Symbol):
+        return sp.diff(s, var)
+    if var not in s.free_symbols:
+        return sp.S.Zero
+    if s == var:
+        return sp.S.One
+    if isinstance(s, sp.Add):
+        return s.func(*[partial(a, var) for a in s.args])
+    if isinstance(s, sp.Mul):
+        args = s.args
+        return sp.Add(*[sp.Mul(*args[:i], partial(a, var), *args[i + 1:])
+                        for i, a in enumerate(args)])
+    if isinstance(s, sp.Pow):
+        base, e = s.args
+        dbase, dexp = partial(base, var), partial(e, var)
+        if dexp is sp.S.Zero:
+            return s * (dbase * e / base)
+        return s * (dexp * sp.log(base) + dbase * e / base)
+    if type(s) in (sp.exp, sp.sin, sp.cos):
+        da = partial(s.args[0], var)
+        return sp.Add() if da.is_zero else sp.Add(s.fdiff(1) * da)
+    return sp.diff(s, var)
+
+
 def diff(e, s):
-    """Exact partial derivative w.r.t. one symbol; chain rule through atoms."""
+    """Exact partial derivative w.r.t. one symbol, normalized: the kernel's
+    one partial (partial) of the raw form, then the canonical form."""
     assumptions = e.assumptions if isinstance(e, Expression) else frozenset()
-    return normalize(sp.diff(as_sym(e), symbol(s)), assumptions)
+    return normalize(partial(as_sym(e), symbol(s)), assumptions)
 
 
 def substitute(e, bindings):

@@ -61,7 +61,7 @@ class SKTSystem:
 
     def S_raw(self, k):
         """-u_t + rhs_raw(1) (k=1) or -v_t + rhs_raw(2), built once per
-        system object, so the partials jet._partial keeps for it serve every
+        system object, so the partials expr.partial keeps for it serve every
         operator checked on the system."""
         return self._raw_equations[k][1]
 
@@ -596,8 +596,8 @@ def _affine_block(um, vm):
     out = []
     for m in (um, vm):
         s = sp.expand(m)
-        A = sp.diff(s, U)
-        B = sp.diff(s, V)
+        A = ex.partial(s, U)
+        B = ex.partial(s, V)
         g = sp.expand(s - A * U - B * V)
         if A.has(U, V) or B.has(U, V) or g.has(U, V) or any(
                 z.has(X) for z in (A, B, g)):
@@ -612,7 +612,7 @@ def _time_map(tm):
     s = tm
     if s == T:
         return sp.Integer(1), None
-    d = sp.cancel(sp.diff(s, T))
+    d = sp.cancel(ex.partial(s, T))
     if not d.has(T) and not d.atoms(sp.exp):
         if sp.expand(s - d * T) != 0:
             raise TransformError(f"time map {s} outside the supported family")
@@ -620,10 +620,10 @@ def _time_map(tm):
     exps = s.atoms(sp.exp)
     if len(exps) == 1:
         E = list(exps)[0]
-        rate = sp.cancel(sp.diff(E.args[0], T))
+        rate = sp.cancel(ex.partial(E.args[0], T))
         coeff = sp.cancel(s / E)
         if not coeff.has(T) and not rate.has(T):
-            return sp.diff(s, T), rate
+            return ex.partial(s, T), rate
     raise TransformError(f"time map {s} outside the supported family")
 
 
@@ -655,7 +655,7 @@ def _coordinate_change(Tr):
     if det == 0:
         raise TransformError("(u,v) block of the transformation is singular")
     tm, xm = Tr.t_map.sym, Tr.x_map.sym
-    cx = sp.cancel(sp.diff(xm, X))
+    cx = sp.cancel(ex.partial(xm, X))
     if xm != X and (cx.has(X) or sp.expand(xm - cx * X) != 0):
         raise TransformError(f"space map {xm} outside the supported family")
     tprime, rate = _time_map(tm)
@@ -664,7 +664,7 @@ def _coordinate_change(Tr):
     for dep, num in ((1, D * (U - g) - B * (V - h)),
                      (2, A * (V - h) - C * (U - g))):
         inv = sp.cancel(num / det)
-        cu, cv = sp.diff(inv, U), sp.diff(inv, V)
+        cu, cv = ex.partial(inv, U), ex.partial(inv, V)
         space[jet(dep, 0, 0)] = inv
         for nx in (1, 2):
             space[jet(dep, 0, nx)] = cx ** nx * (cu * jet(1, 0, nx)

@@ -6,15 +6,13 @@ prolonged action return raw sympy; the caller normalizes once.
 
 What depends on one operator or one expression only is computed once per
 process: a field keeps its one prolongation (VectorField.prolonged), and
-every partial derivative these functions take goes through _partial, kept
-per (raw sympy expression, variable)."""
+every partial derivative these functions take is the kernel's one partial
+(expr.partial), kept per (raw sympy node, variable)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-
-import sympy as sp
+from functools import cached_property
 
 from . import expr as ex
 from .expr import Expression, T, U, V, X, jet
@@ -25,18 +23,6 @@ class JetOrderError(ex.ExprError):
 
 
 _HIGHER_JETS = ex._JET_SET - {U, V}
-
-
-@lru_cache(maxsize=512)
-def _partial(s, var):
-    """sp.diff(s, var) for raw sympy s, kept per (s, var): the partials of
-    a system's S_raw(k) are taken once for all the operators checked on it,
-    those of an operator coefficient once for all its brackets, and the
-    jets of a solution family once for its symbolic and numeric residuals
-    (solutions._jet_bindings).  The key is raw sympy, whose equality is
-    structural.  A catalog validation takes 655 distinct partials, and at
-    this bound it misses no repeated one."""
-    return sp.diff(s, var)
 
 
 @dataclass(frozen=True)
@@ -76,8 +62,10 @@ class VectorField:
     def apply(self, e):
         """First-order action X(e) on an order-0 expression, as raw sympy."""
         s = ex.as_sym(e)
-        return (self.xi0.sym * _partial(s, T) + self.xi1.sym * _partial(s, X)
-                + self.eta1.sym * _partial(s, U) + self.eta2.sym * _partial(s, V))
+        return (self.xi0.sym * ex.partial(s, T)
+                + self.xi1.sym * ex.partial(s, X)
+                + self.eta1.sym * ex.partial(s, U)
+                + self.eta2.sym * ex.partial(s, V))
 
     def __repr__(self):
         label = self.name or "X"
@@ -88,16 +76,17 @@ class VectorField:
 def total_derivative(s, wrt):
     """The total derivative D_t (wrt=T) or D_x (wrt=X) of raw sympy s, as raw
     sympy: the chain rule runs through every jet variable of s, up to the
-    internal order-3 x-jets.  Raises JetOrderError past them."""
+    internal order-3 x-jets, each partial taken by expr.partial.  Raises
+    JetOrderError past them."""
     dt, dx = (1, 0) if wrt == T else (0, 1)
-    out = _partial(s, wrt)
+    out = ex.partial(s, wrt)
     for j in ex.jets_in(s):
         dep, nt, nx = ex._jet_index(j)
         try:
             nxt = jet(dep, nt + dt, nx + dx)
         except ex.ExprError as exc:
             raise JetOrderError(str(exc))
-        out += nxt * _partial(s, j)
+        out += nxt * ex.partial(s, j)
     return out
 
 
@@ -149,8 +138,8 @@ def prolong2(field):
 def apply_prolonged(P, e):
     """Directional derivative of e along the prolonged field, as raw sympy.
     Only the coefficients of the jets that e contains are built, and the
-    partials of e are kept by _partial, so a system's S_raw(k) is
-    differentiated once for all the operators checked on it."""
+    partials of e are expr.partial's, kept per expression, so a system's
+    S_raw(k) is differentiated once for all the operators checked on it."""
     s = ex.as_sym(e)
     out = P.base.apply(s)
     present = s.free_symbols
@@ -158,5 +147,5 @@ def apply_prolonged(P, e):
         for nt, nx in ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
             j = jet(dep, nt, nx)
             if j in present:
-                out += P.coeff(dep, nt, nx).sym * _partial(s, j)
+                out += P.coeff(dep, nt, nx).sym * ex.partial(s, j)
     return out

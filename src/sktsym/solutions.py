@@ -15,7 +15,6 @@ import mpmath
 import sympy as sp
 
 from . import expr as ex
-from . import jet
 from .expr import Expression, T, U, V, X
 from .invariance import SKTSystem, _linear_expand, _scale_free_key
 
@@ -241,7 +240,7 @@ def _jet_bindings(sol):
     """Raw sympy values for the jet symbols along the family (normalization
     deferred to the final residual, which is much cheaper than normalizing
     each derivative separately).  Every jet is a first partial taken by
-    jet._partial, u_xx as the x-partial of u_x: sympy simplifies a
+    expr.partial, u_xx as the x-partial of u_x: sympy simplifies a
     derivative of order 2 taken at once (factor_terms), which costs more
     than the derivative and which the zero test does not need.  The
     partials are kept per expression, so residual and residual_numeric of
@@ -249,10 +248,10 @@ def _jet_bindings(sol):
     u, v = sol.u_expr.sym, sol.v_expr.sym
     b = {U: u, V: v}
     for dep, e in ((1, u), (2, v)):
-        e_x = jet._partial(e, X)
-        b[ex.jet(dep, 1, 0)] = jet._partial(e, T)
+        e_x = ex.partial(e, X)
+        b[ex.jet(dep, 1, 0)] = ex.partial(e, T)
         b[ex.jet(dep, 0, 1)] = e_x
-        b[ex.jet(dep, 0, 2)] = jet._partial(e_x, X)
+        b[ex.jet(dep, 0, 2)] = ex.partial(e_x, X)
     return b
 
 
@@ -411,7 +410,8 @@ def reduce_ansatz(sys, Xf):
 
     def d(e, var):
         # total derivative treating w = sqrt(Rrad)
-        return sp.diff(e, var) + sp.diff(e, w) * sp.diff(Rrad, var) / (2 * w)
+        return (ex.partial(e, var)
+                + ex.partial(e, w) * ex.partial(Rrad, var) / (2 * w))
 
     u = (PHI1 + w) / 2
     v = (PHI1 - w) / 2
@@ -433,8 +433,8 @@ def reduce_ansatz(sys, Xf):
                 classes.setdefault(_scale_free_key(c), c.primitive()[1])
     odes = sorted(classes.values(), key=sp.count_ops)
     beta = ex.parameter("beta")
-    integrated = (sp.expand(PHI2 + sp.diff(PHI1, T) / 2),
-                  sp.expand(sp.diff(PHI1, T) - PHI1 ** 2 / 2 - beta))
+    integrated = (sp.expand(PHI2 + ex.partial(PHI1, T) / 2),
+                  sp.expand(ex.partial(PHI1, T) - PHI1 ** 2 / 2 - beta))
     rad_expr = ex.normalize(Rrad)
     return ReductionAnsatz(
         ansatz_u=ex.normalize((PHI1 + sp.sqrt(Rrad)) / 2),
@@ -455,8 +455,8 @@ def reduction_solutions():
                       -a1 ** 2 / sp.cos(a1 * t) ** 2),
         "reduced-c": (2 * a1 * (1 + a2 * sp.exp(2 * a1 * t))
                       / (1 - a2 * sp.exp(2 * a1 * t)),
-                      -sp.diff(a1 * (1 + a2 * sp.exp(2 * a1 * t))
-                               / (1 - a2 * sp.exp(2 * a1 * t)), t)),
+                      -ex.partial(a1 * (1 + a2 * sp.exp(2 * a1 * t))
+                                  / (1 - a2 * sp.exp(2 * a1 * t)), t)),
     }
 
 

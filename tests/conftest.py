@@ -22,3 +22,16 @@ def full_validation(catalog):
 def golden_report():
     from sktsym import invariance as inv
     return inv.golden_compare()
+
+
+@pytest.fixture
+def partial_misses(monkeypatch):
+    """The (expression, variable) of every partial derivative the kernel's
+    memo (expr.partial) misses from here on; the memo starts empty."""
+    from sktsym import expr as ex
+    misses = []
+    rule = ex._chain_rule
+    ex.partial.cache_clear()
+    monkeypatch.setattr(ex, "_chain_rule",
+                        lambda s, var: misses.append((s, var)) or rule(s, var))
+    return misses

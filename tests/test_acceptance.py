@@ -321,6 +321,18 @@ class TestCriterion10KernelSoundness:
                 return True
         return None
 
+    def test_partial_matches_sympy_diff(self):
+        # the kernel's one partial derivative builds sympy's own tree
+        rng = random.Random(7)
+        differ = []
+        for case in range(100):
+            e = self._disguise(self._expr(rng), rng)
+            for var in self.SYMS:
+                ours, theirs = ex.partial(e, var), sp.diff(e, var)
+                if ours is not theirs and sp.srepr(ours) != sp.srepr(theirs):
+                    differ.append((case, e, var))
+        assert not differ
+
     def test_thousand_randomized_cases_agree(self):
         rng = random.Random(42)
         disagreements = []

@@ -251,15 +251,33 @@ class TestOtherSubcommands:
         assert lines[0] == "t,x,u,v"
         assert len(lines) > 16
 
-    def test_simulate_reports_steps_and_dt_range(self, capsys, tmp_path):
+    def test_simulate_reports_steps_and_dt_range(self, capsys, tmp_path,
+                                                 monkeypatch):
+        real_run, runs = sim.run, []
+
+        def kept(system, grid, init, bc, config, bindings=None):
+            runs.append((real_run(system, grid, init, bc, config, bindings),
+                         system, bindings))
+            return runs[-1][0]
+
+        monkeypatch.setattr(cli.sim, "run", kept)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SIMULATE_BASE)
         code, out, err = run(capsys, "simulate", "--config", str(cfg))
         assert code == 0
         assert out.startswith("t,x,u,v\n")
-        m = re.fullmatch(r"(\d+) steps, dt min (\S+) max (\S+)\n", err)
+        m = re.fullmatch(r"(\d+) steps, dt min (\S+) max (\S+), "
+                         r"max diffusivity (\S+), mass drift (\S+)\n", err)
         assert m and int(m[1]) > 0
         assert 0 < float(m[2]) <= float(m[3])
+        [(traj, system, bindings)] = runs
+        c = sim._numeric_params(system, bindings)
+        dmax = max(sim.max_diffusivity(c, st.u, st.v) for st in traj.states)
+        assert float(m[4]) == pytest.approx(dmax, rel=1e-5)
+        (u0, v0), (u1, v1) = traj.mass(0), traj.mass()
+        drift = max(abs(u1 - u0) / abs(u0), abs(v1 - v0) / abs(v0))
+        assert 0 < drift < 1
+        assert float(m[5]) == pytest.approx(drift, rel=1e-5)
 
     def test_simulate_reports_the_abort_reason(self, capsys, tmp_path,
                                                monkeypatch):

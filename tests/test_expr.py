@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sktsym import expr as ex
+from sktsym import solutions as so
 from sktsym.catalog import Catalog
 from sktsym.expr import T, U, V, X
 
@@ -809,3 +810,59 @@ class TestTogether:
         pythagoras = sp.sin(X) ** 2 + sp.cos(X) ** 2 - 1
         assert ex.iszero(e - sp.expand(e) + pythagoras)
         assert not ex.iszero(e)
+
+
+class TestPartial:
+    """The kernel's one partial derivative against sympy's evaluated diff,
+    compared by srepr."""
+
+    @staticmethod
+    def _differing_from_sympy(pairs):
+        differ = []
+        for s, var in pairs:
+            ours, theirs = ex.partial(s, var), sp.diff(s, var)
+            if ours is not theirs and sp.srepr(ours) != sp.srepr(theirs):
+                differ.append((s, var))
+        return differ
+
+    def test_every_partial_of_a_validation_and_the_residuals(self,
+                                                             partial_misses):
+        # every node the memo misses, the inputs of partial included
+        Catalog.load().validate_all(keys=[(2, 4), (3, 7)])
+        for fid in so.BUILTIN_IDS:
+            fam = so.builtin_family(fid)
+            so.residual(fam.system(), fam)
+        assert len(partial_misses) > 500
+        assert self._differing_from_sympy(partial_misses) == []
+
+    def test_opaque_functions_fall_back_to_sympy(self):
+        eta1 = sp.Function("eta1")(T, X, U, V)
+        cases = [eta1, sp.Derivative(eta1, X), sp.Derivative(eta1, T, X),
+                 eta1 * sp.sqrt(U - V), U * eta1 ** 2]
+        pairs = [(s, var) for s in cases for var in (T, X, U, V)]
+        pairs += [(U * eta1 + sp.sin(eta1), eta1)]
+        assert self._differing_from_sympy(pairs) == []
+
+    def test_leibniz_form_not_pairwise_products(self):
+        # Mul._eval_derivative multiplies pairwise and distributes the sign
+        # into the sum: -(-lambda1*exp(2*x) - lambda2)*exp(-x)
+        l1, l2 = ex.parameter("lambda1"), ex.parameter("lambda2")
+        cases = [sp.Mul(-1, l1 * sp.exp(2 * X) + l2, sp.exp(-X)),
+                 (l1 * sp.exp(2 * X) - l2) * sp.exp(-X) / 2]
+        for e in cases:
+            assert (sp.srepr(e._eval_derivative(X))
+                    != sp.srepr(sp.diff(e, X)))
+        assert self._differing_from_sympy([(e, X) for e in cases]) == []
+
+    def test_validation_and_residual_call_no_sympy_diff(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sympy diff called")
+
+        ex.partial.cache_clear()
+        monkeypatch.setattr(sp, "diff", refuse)
+        monkeypatch.setattr(sp.Expr, "diff", refuse)
+        monkeypatch.setattr(sp.Derivative, "__new__", refuse)
+        assert Catalog.load().validate_all(keys=[(2, 4)]).ok
+        fam = so.builtin_family("family-exp")
+        r1, r2 = so.residual(fam.system(), fam)
+        assert r1.is_zero and r2.is_zero

@@ -3,7 +3,6 @@ import pytest
 import sympy as sp
 
 from sktsym import expr as ex
-from sktsym import jet
 from sktsym import solutions as so
 from sktsym.expr import T, X
 from sktsym.invariance import SKTSystem
@@ -83,37 +82,25 @@ class TestResidual:
         assert not (r1.is_zero and r2.is_zero)
         assert calls == []
 
-    def test_every_jet_is_a_kept_first_partial(self, monkeypatch):
-        # residual takes each derivative of order one through jet._partial;
+    def test_every_jet_is_a_kept_first_partial(self, partial_misses):
+        # residual takes six first partials of the family through the
+        # kernel's memo (expr.partial), u_xx as the x-partial of u_x;
         # residual_numeric of the same family then takes none afresh
         fam = so.builtin_family("family-exp")
         binds = self.NUMERIC_BINDINGS["family-exp"]
-        jet._partial.cache_clear()
-        real_partial, real_diff = jet._partial, sp.diff
-        inside, diffs = [], []
-
-        def partial(s, var):
-            inside.append(var)
-            try:
-                return real_partial(s, var)
-            finally:
-                inside.pop()
-
-        def diff(*args, **kwargs):
-            diffs.append((len(args), bool(kwargs), bool(inside)))
-            return real_diff(*args, **kwargs)
-
-        monkeypatch.setattr(jet, "_partial", partial)
-        monkeypatch.setattr(sp, "diff", diff)
         r1, r2 = so.residual(fam.system(), fam)
         assert r1.is_zero and r2.is_zero
-        first = list(diffs)
-        # u_t, u_x, u_xx and the same of v
-        assert len(first) == 6
-        assert all(d == (2, False, True) for d in first)
+        first = list(partial_misses)
+        u, v = fam.u_expr.sym, fam.v_expr.sym
+        ux, vx = ex.partial(u, X), ex.partial(v, X)
+        assert partial_misses == first
+        tops = (u, v, ux, vx)
+        taken = [(s, var) for s, var in first if s in tops]
+        assert sorted(taken, key=str) == sorted(
+            [(u, T), (u, X), (ux, X), (v, T), (v, X), (vx, X)], key=str)
         worst, _ = so.residual_numeric(fam.system(), fam, binds, points=2)
         assert worst < 1e-10
-        assert diffs == first
+        assert partial_misses == first
 
     def test_numeric_oracle_independent(self):
         fam = so.builtin_family("family-trig")
